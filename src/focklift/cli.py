@@ -192,6 +192,8 @@ def _sweep_task(args: tuple) -> tuple[float, float, float]:
 
 
 def cmd_sweep(ns) -> int:
+    from .nogo import _run_restarts
+
     started = _now()
     grid = _parse_grid(ns.grid)
     if ns.samples < 1:
@@ -200,13 +202,7 @@ def cmd_sweep(ns) -> int:
         raise _UsageError("sweep requires --out for the CSV table")
     seed = _resolve_seed(ns)
     tasks = [(eps, ns.samples, seed, i, len(grid)) for i, eps in enumerate(grid)]
-    if ns.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
+    rows = _run_restarts(_sweep_task, tasks, ns.jobs)
 
     csv_lines = ["epsilon,leakage,entangling_measure"]
     csv_lines += [f"{e!r},{l!r},{m!r}" for e, l, m in rows]

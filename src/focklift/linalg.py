@@ -53,16 +53,18 @@ def is_unitary(u: np.ndarray, tol: float = CHECK_TOL) -> bool:
 
 def require_hermitian(h: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
     h = _as_square(h, name)
-    dev = frobenius(h - h.conj().T)
-    if dev > tol:
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
+        dev = frobenius(h - h.conj().T)
+    if not dev <= tol:
         raise InvalidInputError(f"{name} is not Hermitian: ||h - h^dag|| = {dev:.3e} > {tol:.1e}")
     return h
 
 
 def require_unitary(u: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
     u = _as_square(u, name)
-    dev = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tol:
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
+        dev = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+    if not dev <= tol:
         raise InvalidInputError(f"{name} is not unitary: ||u^dag u - 1|| = {dev:.3e} > {tol:.1e}")
     return u
 

@@ -1,8 +1,8 @@
 """Numerical certificates that passive linear optics cannot both decouple
 bunched states and entangle single-rail qubits.
 
-Two search families, both maximizing the operator-Schmidt entangling
-measure of the induced two-qubit action:
+One restart loop, two search families, both maximizing the operator-Schmidt
+entangling measure of the induced two-qubit action:
 
 * ``nogo_search_two_mode``  - the five-parameter composite gate on two
   modes, penalized by its bunched-state leakage.
@@ -12,13 +12,16 @@ measure of the induced two-qubit action:
   the top photon sector, and the failure of outputs to factor into a
   computational part times a fixed ancilla state.
 
-Every restart also evaluates a snapped or projected candidate on the
-exactly feasible manifold, so the reported constrained optimum is a max
-over genuinely feasible points and can only under-report the certificate.
+Each family supplies a start point, the map to a point, its (measure,
+constraint) and a snapped or projected candidate on the exactly feasible
+manifold; ``_search`` owns the penalty ladder, restarts, trace and
+selection, so the reported constrained optimum is a max over genuinely
+feasible points and can only under-report the certificate.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -185,6 +188,9 @@ class SearchConfig:
     penalty_weight is the final weight of the x10 penalty ladder that
     starts at 10 (the default 1e5 walks 10, 100, ..., 1e5 across the
     restart budget); penalty_weight = 0 runs the unconstrained variant.
+    Construction fails closed: integer fields must be integers (not bools),
+    float fields finite numbers, so a malformed config never runs a
+    different search than the one it names.
     """
 
     modes: int = 2
@@ -197,6 +203,15 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("modes", "ancilla_photons", "restarts", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name in ("leakage_tolerance", "penalty_weight", "certification_threshold"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
         if self.modes < 2:
             raise InvalidInputError(f"modes must be >= 2, got {self.modes}")
         if self.ancilla_photons < 0:
@@ -205,10 +220,14 @@ class SearchConfig:
             raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.leakage_tolerance <= 0:
             raise InvalidInputError("leakage_tolerance must be positive")
         if self.penalty_weight < 0:
             raise InvalidInputError("penalty_weight must be >= 0 (0 = unconstrained)")
+        if self.certification_threshold <= 0:
+            raise InvalidInputError("certification_threshold must be positive")
 
     def to_jsonable(self) -> dict:
         return asdict(self)
@@ -231,12 +250,21 @@ class SearchResult:
     overall when unconstrained).  ``feasible`` records whether any candidate
     met the leakage tolerance; for constrained runs it is always expected
     to be True thanks to the snapped/projected candidates.
+
+    ``best_candidate`` names the winner's kind: ``"endpoint"`` (an optimizer
+    endpoint), ``"snapped"`` (two-mode: the endpoint with its mixing angle
+    snapped to a multiple of pi/2) or ``"projected"`` (ancilla: the
+    endpoint's mode unitary projected onto the feasible manifold).  A
+    projected winner's ``best_parameters`` are the generator *before*
+    projection; its mode unitary is
+    ``_project_feasible(exp_i_hermitian(_ancilla_hermitian(x, modes)))``.
     """
 
     constrained: bool
     best_entangling_measure: float
     best_leakage: float
     best_parameters: list[float]
+    best_candidate: str
     restart_trace: list[dict]
     feasible: bool
     wall_time: float
@@ -247,12 +275,21 @@ class SearchResult:
             "best_entangling_measure": self.best_entangling_measure,
             "best_leakage": self.best_leakage,
             "best_parameters": list(self.best_parameters),
+            "best_candidate": self.best_candidate,
             "restart_trace": self.restart_trace,
             "feasible": self.feasible,
         }
         if include_timing:
             out["wall_time"] = self.wall_time
         return out
+
+
+# ---------------------------------------------------------------------------
+# the restart loop, shared by both families
+# ---------------------------------------------------------------------------
+
+# (kind, parameters, measure, constraint) of one point offered for selection
+_Candidate = tuple[str, list[float], float, float]
 
 
 def _penalty_levels(cfg: SearchConfig) -> list[float]:
@@ -266,49 +303,16 @@ def _penalty_levels(cfg: SearchConfig) -> list[float]:
     return levels
 
 
-def _select_best(candidates: list[tuple[list[float], float, float]], constrained: bool,
-                 tol: float) -> tuple[float, float, list[float], bool]:
-    """Pick the reported optimum from (params, measure, leakage) candidates."""
-    feasible = [c for c in candidates if c[2] <= tol]
-    if constrained:
-        # among feasible points report the LARGEST measure: the certificate
-        # must be an upper bound over everything the search could certify
-        best = max(feasible, key=lambda c: c[1]) if feasible else min(candidates, key=lambda c: c[2])
-        return best[1], best[2], best[0], bool(feasible)
-    best = max(candidates, key=lambda c: c[1])
-    return best[1], best[2], best[0], best[2] <= tol
-
-
-# ---------------------------------------------------------------------------
-# two-mode search
-# ---------------------------------------------------------------------------
-
-_QUARTER_PI = math.pi / 4.0
-
-
-def _two_mode_eval(x: np.ndarray) -> tuple[float, float]:
-    params = CompositeGateParams(*[float(t) for t in x])
-    gate = composite_gate_fock(params)
-    leak = leakage(gate).frobenius_leakage
-    meas = entangling_measure(nearest_unitary_block(gate))
-    return meas, leak
-
-
-def _two_mode_start(rng: np.random.Generator) -> np.ndarray:
-    x = rng.uniform(-math.pi, math.pi, size=5)
-    # saddle avoidance: keep the mixing angle away from multiples of pi/4
-    while abs(math.remainder(x[4], _QUARTER_PI)) < 0.15:
-        x[4] = rng.uniform(-math.pi, math.pi)
-    return x
-
-
-def _two_mode_restart(cfg: SearchConfig, mu: float,
-                      rng: np.random.Generator) -> list[tuple[list[float], float, float]]:
-    x0 = _two_mode_start(rng)
+def _restart(args: tuple) -> list[_Candidate]:
+    """One Nelder-Mead run of measure - mu * constraint from the family's
+    start point; returns the endpoint and the family's feasible candidate."""
+    family, cfg, r, mu = args
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[r])
+    x0 = family.start(rng)
 
     def objective(x: np.ndarray) -> float:
-        meas, leak = _two_mode_eval(x)
-        return -(meas - mu * leak)
+        meas, constraint = family.evaluate(family.point(x))
+        return -(meas - mu * constraint)
 
     res = minimize(
         objective,
@@ -322,36 +326,95 @@ def _two_mode_restart(cfg: SearchConfig, mu: float,
             "adaptive": True,
         },
     )
-    candidates = []
-    meas, leak = _two_mode_eval(res.x)
-    candidates.append(([float(t) for t in res.x], meas, leak))
-    snapped = np.array(res.x, dtype=float)
-    snapped[4] = round(snapped[4] / (math.pi / 2.0)) * (math.pi / 2.0)
-    meas_s, leak_s = _two_mode_eval(snapped)
-    candidates.append(([float(t) for t in snapped], meas_s, leak_s))
-    return candidates
+    end = family.point(res.x)
+    endpoint = ("endpoint", [float(t) for t in res.x], *family.evaluate(end))
+    params, point = family.feasible(res.x, end)
+    return [endpoint, (family.kind, [float(t) for t in params], *family.evaluate(point))]
 
 
-def _restart_mu(cfg: SearchConfig, levels: list[float], r: int) -> float:
-    return levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
-
-
-def _restart_rng(cfg: SearchConfig, r: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[r])
-
-
-def _two_mode_task(args: tuple) -> list[tuple[list[float], float, float]]:
-    cfg, r, mu = args
-    return _two_mode_restart(cfg, mu, _restart_rng(cfg, r))
-
-
-def _run_restarts(task_fn, tasks: list[tuple], jobs: int) -> list[list]:
-    """Execute restart tasks, preserving task order so results are
-    independent of the worker count."""
+def _run_restarts(task_fn, tasks: list[tuple], jobs: int) -> list:
+    """Execute tasks, preserving task order so results are independent of
+    the worker count."""
     if jobs <= 1:
         return [task_fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(task_fn, tasks))
+
+
+def _select_best(candidates: list[_Candidate], constrained: bool,
+                 tol: float) -> tuple[_Candidate, bool]:
+    """Pick the reported optimum and say whether any candidate is feasible."""
+    feasible = [c for c in candidates if c[3] <= tol]
+    if constrained:
+        # among feasible points report the LARGEST measure: the certificate
+        # must be an upper bound over everything the search could certify
+        best = (max(feasible, key=lambda c: c[2]) if feasible
+                else min(candidates, key=lambda c: c[3]))
+        return best, bool(feasible)
+    best = max(candidates, key=lambda c: c[2])
+    return best, best[3] <= tol
+
+
+def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
+    """Spread the penalty ladder across cfg.restarts restarts of a family
+    and report the best candidate with a per-restart trace.
+
+    jobs > 1 spreads restarts over processes; results are identical to the
+    serial run because every restart derives its generator from the same
+    spawned seed stream and aggregation is restart-ordered.
+    """
+    start = time.perf_counter()
+    levels = _penalty_levels(cfg)
+    constrained = cfg.penalty_weight > 0
+    tasks = [(family, cfg, r, levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)])
+             for r in range(cfg.restarts)]
+    per_restart = _run_restarts(_restart, tasks, jobs)
+    trace = [{"restart": r, "mu": tasks[r][3], "measure": end[2], "leakage": end[3],
+              f"{family.kind}_measure": feas[2], f"{family.kind}_leakage": feas[3]}
+             for r, (end, feas) in enumerate(per_restart)]
+    (kind, params, meas, leak), feasible = _select_best(
+        [c for cands in per_restart for c in cands], constrained, cfg.leakage_tolerance)
+    return SearchResult(
+        constrained=constrained,
+        best_entangling_measure=meas,
+        best_leakage=leak,
+        best_parameters=params,
+        best_candidate=kind,
+        restart_trace=trace,
+        feasible=feasible,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+# ---------------------------------------------------------------------------
+# two-mode search
+# ---------------------------------------------------------------------------
+
+class _TwoModeFamily:
+    """The five composite-gate angles; the feasible candidate snaps the
+    mixing angle to the nearest multiple of pi/2 (exactly decoupled)."""
+
+    kind = "snapped"
+
+    def start(self, rng: np.random.Generator) -> np.ndarray:
+        x = rng.uniform(-math.pi, math.pi, size=5)
+        # saddle avoidance: keep the mixing angle away from multiples of pi/4
+        while abs(math.remainder(x[4], math.pi / 4.0)) < 0.15:
+            x[4] = rng.uniform(-math.pi, math.pi)
+        return x
+
+    def point(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
+        gate = composite_gate_fock(CompositeGateParams(*[float(t) for t in x]))
+        leak = leakage(gate).frobenius_leakage
+        return entangling_measure(nearest_unitary_block(gate)), leak
+
+    def feasible(self, x: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        snapped = np.array(x, dtype=float)
+        snapped[4] = round(snapped[4] / (math.pi / 2.0)) * (math.pi / 2.0)
+        return snapped, snapped
 
 
 def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
@@ -367,41 +430,11 @@ def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     Unconstrained (penalty_weight = 0): maximize the measure alone; leaky
     gates are eligible and score well above the certification threshold.
 
-    jobs > 1 spreads restarts over processes; results are identical to the
-    serial run because every restart derives its generator from the same
-    spawned seed stream and aggregation is restart-ordered.
+    jobs > 1 spreads restarts over processes with identical results.
     """
     if cfg.modes != 2:
         raise InvalidInputError(f"two-mode search requires modes=2, got {cfg.modes}")
-    start = time.perf_counter()
-    levels = _penalty_levels(cfg)
-    constrained = cfg.penalty_weight > 0
-    tasks = [(cfg, r, _restart_mu(cfg, levels, r)) for r in range(cfg.restarts)]
-    per_restart = _run_restarts(_two_mode_task, tasks, jobs)
-    all_candidates: list[tuple[list[float], float, float]] = []
-    trace: list[dict] = []
-    for r, cands in enumerate(per_restart):
-        all_candidates.extend(cands)
-        trace.append(
-            {
-                "restart": r,
-                "mu": tasks[r][2],
-                "measure": cands[0][1],
-                "leakage": cands[0][2],
-                "snapped_measure": cands[1][1],
-                "snapped_leakage": cands[1][2],
-            }
-        )
-    meas, leak, params, feasible = _select_best(all_candidates, constrained, cfg.leakage_tolerance)
-    return SearchResult(
-        constrained=constrained,
-        best_entangling_measure=meas,
-        best_leakage=leak,
-        best_parameters=params,
-        restart_trace=trace,
-        feasible=feasible,
-        wall_time=time.perf_counter() - start,
-    )
+    return _search(_TwoModeFamily(), cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -540,44 +573,29 @@ def _project_feasible(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ancilla_restart(cfg: SearchConfig, mu: float,
-                     rng: np.random.Generator,
-                     frame: _AncillaFrame) -> list[tuple[list[float], float, float]]:
-    dim = cfg.modes * cfg.modes
-    x0 = rng.uniform(-math.pi, math.pi, size=dim)
+class _AncillaFamily:
+    """A full Hermitian generator on M modes (M^2 real parameters); the
+    feasible candidate projects the endpoint's mode unitary onto the
+    exactly feasible manifold and keeps the unprojected generator as its
+    parameters (the projection is deterministic, so the point is
+    reproducible)."""
 
-    def objective(x: np.ndarray) -> float:
-        v = exp_i_hermitian(_ancilla_hermitian(x, cfg.modes))
-        meas, constraint, _ = _ancilla_eval(v, frame)
-        return -(meas - mu * constraint)
+    kind = "projected"
 
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": cfg.max_iterations,
-            "maxfev": 4 * cfg.max_iterations,
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-            "adaptive": True,
-        },
-    )
-    v_end = exp_i_hermitian(_ancilla_hermitian(res.x, cfg.modes))
-    meas, constraint, _ = _ancilla_eval(v_end, frame)
-    candidates = [([float(t) for t in res.x], meas, constraint)]
-    v_proj = _project_feasible(v_end)
-    meas_p, constraint_p, _ = _ancilla_eval(v_proj, frame)
-    # projected candidates are reported through the same parameter vector;
-    # the projection is deterministic, so the point is reproducible
-    candidates.append(([float(t) for t in res.x], meas_p, constraint_p))
-    return candidates
+    def __init__(self, cfg: SearchConfig):
+        self.frame = _AncillaFrame(cfg.modes, cfg.ancilla_photons)
 
+    def start(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-math.pi, math.pi, size=self.frame.modes ** 2)
 
-def _ancilla_task(args: tuple) -> list[tuple[list[float], float, float]]:
-    cfg, r, mu = args
-    frame = _AncillaFrame(cfg.modes, cfg.ancilla_photons)
-    return _ancilla_restart(cfg, mu, _restart_rng(cfg, r), frame)
+    def point(self, x: np.ndarray) -> np.ndarray:
+        return exp_i_hermitian(_ancilla_hermitian(x, self.frame.modes))
+
+    def evaluate(self, v: np.ndarray) -> tuple[float, float]:
+        return _ancilla_eval(v, self.frame)[:2]
+
+    def feasible(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x, _project_feasible(v)
 
 
 def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
@@ -592,37 +610,8 @@ def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     every restart via projection onto the block-diagonal, bunching-free
     manifold; the best feasible measure is the certificate.
 
-    jobs > 1 spreads restarts over processes with the same restart-ordered,
-    seed-stream-deterministic aggregation as the two-mode search.
+    jobs > 1 spreads restarts over processes with identical results.
     """
     if cfg.modes < 3:
         raise InvalidInputError(f"ancilla search requires modes >= 3, got {cfg.modes}")
-    start = time.perf_counter()
-    levels = _penalty_levels(cfg)
-    constrained = cfg.penalty_weight > 0
-    tasks = [(cfg, r, _restart_mu(cfg, levels, r)) for r in range(cfg.restarts)]
-    per_restart = _run_restarts(_ancilla_task, tasks, jobs)
-    all_candidates: list[tuple[list[float], float, float]] = []
-    trace: list[dict] = []
-    for r, cands in enumerate(per_restart):
-        all_candidates.extend(cands)
-        trace.append(
-            {
-                "restart": r,
-                "mu": tasks[r][2],
-                "measure": cands[0][1],
-                "leakage": cands[0][2],
-                "projected_measure": cands[1][1],
-                "projected_leakage": cands[1][2],
-            }
-        )
-    meas, leak, params, feasible = _select_best(all_candidates, constrained, cfg.leakage_tolerance)
-    return SearchResult(
-        constrained=constrained,
-        best_entangling_measure=meas,
-        best_leakage=leak,
-        best_parameters=params,
-        restart_trace=trace,
-        feasible=feasible,
-        wall_time=time.perf_counter() - start,
-    )
+    return _search(_AncillaFamily(cfg), cfg, jobs)

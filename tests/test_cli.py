@@ -57,6 +57,12 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     code, _ = run("sweep", "--grid", "0:1.5707963:9", "--samples", "2",
                   "--seed", "3", "--out", str(out))
     assert code == EXIT_OK
+    # the same seed with two worker processes writes the same bytes
+    out2 = tmp_path / "sweep2.csv"
+    code, _ = run("sweep", "--grid", "0:1.5707963:9", "--samples", "2",
+                  "--seed", "3", "--out", str(out2), "--jobs", "2")
+    assert code == EXIT_OK
+    assert out2.read_bytes() == out.read_bytes()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "epsilon,leakage,entangling_measure"
     assert len(lines) == 10
@@ -151,6 +157,26 @@ def test_nogo_rejects_bad_config(tmp_path):
     assert run("nogo", "--config", str(wrong))[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("field, value", [
+    ("penalty_weight", float("nan")),
+    ("penalty_weight", float("inf")),
+    ("restarts", 2.5),
+    ("restarts", "3"),
+    ("seed", "x"),
+    ("certification_threshold", -1),
+])
+def test_nogo_rejects_malformed_field_values(tmp_path, field, value):
+    # NaN and inf reach the config as JSON's NaN/Infinity tokens
+    cfg = write_config(tmp_path / "cfg.json", **{field: value})
+    out = tmp_path / "r.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run("nogo", "--config", cfg, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.getvalue().startswith("error: ") and field in err.getvalue()
+    assert not out.exists()
+
+
 def test_nogo_packaged_config_resolves(tmp_path):
     # bare name falls back to the packaged configuration directory
     out = tmp_path / "m3.json"
@@ -231,6 +257,21 @@ def test_lift_usage_errors(tmp_path):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
     assert run("lift", "--input", str(src), "--photons", "1")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [["lift", "--photons", "2"], ["netlist"]])
+@pytest.mark.parametrize("entries", [
+    [["NaN", "NaN"], ["NaN", "NaN"]],
+    [[1, "Infinity"], [0, 1]],
+])
+def test_non_finite_matrix_file_is_usage_error(tmp_path, command, entries):
+    # lift once wrote bare NaN tokens with exit 0; netlist died in round(NaN)
+    src = tmp_path / "v.json"
+    src.write_text(json.dumps(entries).replace('"', ""))
+    out = tmp_path / "o.json"
+    code, _ = run(*command, "--input", str(src), "--out", str(out))
+    assert code == EXIT_USAGE
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,22 @@ def test_unitary_predicates():
         require_unitary(np.ones((3, 3)))
 
 
+def test_checks_reject_non_finite_matrices():
+    # NaN > tol is False, so a plain "dev > tol" test let these through
+    nan = np.full((3, 3), np.nan, dtype=complex)
+    one_inf = np.eye(3, dtype=complex)
+    one_inf[0, 2] = np.inf
+    inf_diag = np.diag([np.inf, 0.0, 1.0]).astype(complex)
+    for m in (nan, one_inf):
+        with pytest.raises(InvalidInputError):
+            require_unitary(m)
+    for m in (nan, one_inf, inf_diag):
+        with pytest.raises(InvalidInputError):
+            require_hermitian(m)
+    with pytest.raises(InvalidInputError):
+        exp_i_hermitian(nan)
+
+
 def test_hermitian_eig_ascending_and_reconstructs():
     rng = np.random.default_rng(2)
     h = random_hermitian(rng, 6)

@@ -6,10 +6,11 @@ import pytest
 
 from focklift.errors import InvalidInputError
 from focklift.fock import lift_unitary
-from focklift.linalg import haar_random_unitary
+from focklift.linalg import exp_i_hermitian, haar_random_unitary
 from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
     _ancilla_eval,
+    _ancilla_hermitian,
     _AncillaFrame,
     _penalty_levels,
     _project_feasible,
@@ -23,6 +24,12 @@ from focklift.nogo import (
     SearchConfig,
     SearchResult,
     subspace_leakage,
+)
+from focklift.singlerail import (
+    composite_gate_fock,
+    entangling_measure,
+    leakage,
+    nearest_unitary_block,
 )
 
 
@@ -181,6 +188,36 @@ def test_config_validation():
         SearchConfig(ancilla_photons=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("penalty_weight", float("nan")),
+    ("penalty_weight", float("inf")),
+    ("leakage_tolerance", float("nan")),
+    ("certification_threshold", float("-inf")),
+    ("certification_threshold", -1.0),
+    ("certification_threshold", 0.0),
+    ("penalty_weight", "1e5"),
+    ("penalty_weight", True),
+    ("restarts", 2.5),
+    ("restarts", "3"),
+    ("restarts", True),
+    ("max_iterations", 400.0),
+    ("modes", None),
+    ("seed", "x"),
+    ("seed", -1),
+])
+def test_config_rejects_malformed_fields(field, value):
+    # each of these once ran a different search, or crashed with a TypeError
+    with pytest.raises(InvalidInputError, match=field):
+        SearchConfig(**{field: value})
+    with pytest.raises(InvalidInputError, match=field):
+        SearchConfig.from_jsonable(json.loads(json.dumps({field: value})))
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = SearchConfig(restarts=np.int64(3), seed=np.int32(4), penalty_weight=np.float64(10.0))
+    assert _penalty_levels(cfg) == [10.0]
+
+
 def test_config_json_round_trip():
     cfg = SearchConfig(modes=3, ancilla_photons=1, restarts=7, seed=9)
     back = SearchConfig.from_jsonable(cfg.to_jsonable())
@@ -317,3 +354,67 @@ def test_ancilla_search_deterministic():
     a = nogo_search_ancilla(cfg).to_jsonable(include_timing=False)
     b = nogo_search_ancilla(cfg, jobs=2).to_jsonable(include_timing=False)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# search contract shared by both families
+# ---------------------------------------------------------------------------
+
+def _two_mode_point_eval(params):
+    gate = composite_gate_fock(CompositeGateParams(*params))
+    return entangling_measure(nearest_unitary_block(gate)), leakage(gate).frobenius_leakage
+
+
+def _ancilla_point_eval(params, kind, cfg):
+    v = exp_i_hermitian(_ancilla_hermitian(np.array(params), cfg.modes))
+    if kind == "projected":
+        v = _project_feasible(v)
+    meas, constraint, _ = _ancilla_eval(v, _AncillaFrame(cfg.modes, cfg.ancilla_photons))
+    return meas, constraint
+
+
+@pytest.mark.parametrize("penalty_weight, seed, kind", [
+    (1e5, 60, "snapped"),
+    (0.0, 61, "endpoint"),
+])
+def test_two_mode_winner_reproduces_from_its_parameters(penalty_weight, seed, kind):
+    cfg = SearchConfig(modes=2, restarts=4, max_iterations=150,
+                       penalty_weight=penalty_weight, seed=seed)
+    result = nogo_search_two_mode(cfg)
+    assert result.best_candidate == kind
+    assert result.to_jsonable()["best_candidate"] == kind
+    # a snapped winner is reported under its snapped angles
+    meas, leak = _two_mode_point_eval(result.best_parameters)
+    assert meas == result.best_entangling_measure
+    assert leak == result.best_leakage
+
+
+@pytest.mark.parametrize("penalty_weight, seed, kind", [
+    (1e5, 62, "projected"),
+    (0.0, 63, "endpoint"),
+])
+def test_ancilla_winner_reproduces_from_its_parameters(penalty_weight, seed, kind):
+    cfg = SearchConfig(modes=3, restarts=3, max_iterations=120,
+                       penalty_weight=penalty_weight, seed=seed)
+    result = nogo_search_ancilla(cfg)
+    assert result.best_candidate == kind
+    assert result.to_jsonable()["best_candidate"] == kind
+    # a projected winner carries the generator before projection
+    meas, constraint = _ancilla_point_eval(result.best_parameters, kind, cfg)
+    assert meas == result.best_entangling_measure
+    assert constraint == result.best_leakage
+
+
+@pytest.mark.parametrize("search, cfg, kind", [
+    (nogo_search_two_mode, SearchConfig(modes=2, restarts=3, max_iterations=40, seed=64),
+     "snapped"),
+    (nogo_search_ancilla, SearchConfig(modes=3, restarts=3, max_iterations=40, seed=65),
+     "projected"),
+])
+def test_restart_trace_keys_are_pinned(search, cfg, kind):
+    # perfbench counts feasible candidates by the trace keys ending in "leakage"
+    trace = search(cfg).restart_trace
+    assert [t["restart"] for t in trace] == list(range(cfg.restarts))
+    for entry in trace:
+        assert set(entry) == {"restart", "mu", "measure", "leakage",
+                              f"{kind}_measure", f"{kind}_leakage"}
