@@ -23,6 +23,14 @@ def run(*argv):
     return code, buf.getvalue()
 
 
+def run_err(*argv):
+    """Like run, but returns (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run(*argv)
+    return code, err.getvalue()
+
+
 def write_config(path, **overrides):
     cfg = {"mode": "two_mode", "modes": 2, "restarts": 3, "max_iterations": 120,
            "leakage_tolerance": 1e-10, "penalty_weight": 1e5,
@@ -36,11 +44,18 @@ def write_config(path, **overrides):
 # verify
 # ---------------------------------------------------------------------------
 
-def test_verify_algebra_passes():
-    code, out = run("verify", "algebra")
+@pytest.mark.parametrize("suite, count", [("algebra", 6), ("all", 25)])
+def test_verify_suite_passes(tmp_path, suite, count):
+    report = tmp_path / "verify.json"
+    code, out = run("verify", suite, "--out", str(report))
     assert code == EXIT_OK
-    assert "[PASS]" in out
+    assert out.count("[PASS]") == count
     assert "[FAIL]" not in out
+    assert out.endswith(f"verify {suite}: all passed ({count} checks)\n")
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is True
+    assert len(doc["checks"]) == count
+    assert all(c["passed"] for c in doc["checks"])
 
 
 def test_verify_rejects_unknown_suite():
@@ -79,9 +94,20 @@ def test_sweep_requires_out(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_sweep_rejects_empty_grid(tmp_path):
-    code, _ = run("sweep", "--grid", "", "--out", str(tmp_path / "x.csv"))
+@pytest.mark.parametrize("grid", [
+    pytest.param("", id="empty"),
+    pytest.param("0,nan", id="nan"),
+    pytest.param("inf", id="inf"),
+    pytest.param("0:inf:3", id="inf-range"),
+])
+def test_sweep_rejects_bad_grid(tmp_path, grid):
+    # a NaN point once died in round(NaN) inside modes.py with exit 1
+    out = tmp_path / "x.csv"
+    code, err = run_err("sweep", "--grid", grid, "--samples", "1", "--seed", "1",
+                        "--out", str(out))
     assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_comma_grid(tmp_path):
@@ -156,6 +182,14 @@ def test_nogo_rejects_bad_config(tmp_path):
     wrong.write_text(json.dumps({"mode": "two_mode", "modes": 1}))
     assert run("nogo", "--config", str(wrong))[0] == EXIT_USAGE
 
+    # a Fock sector beyond the basis cap is a config error, not a crash
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"mode": "ancilla", "modes": 30, "ancilla_photons": 12,
+                               "restarts": 1}))
+    code, err = run_err("nogo", "--config", str(big))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "cap" in err
+
 
 @pytest.mark.parametrize("field, value", [
     ("penalty_weight", float("nan")),
@@ -169,11 +203,9 @@ def test_nogo_rejects_malformed_field_values(tmp_path, field, value):
     # NaN and inf reach the config as JSON's NaN/Infinity tokens
     cfg = write_config(tmp_path / "cfg.json", **{field: value})
     out = tmp_path / "r.json"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, _ = run("nogo", "--config", cfg, "--out", str(out))
+    code, err = run_err("nogo", "--config", cfg, "--out", str(out))
     assert code == EXIT_USAGE
-    assert err.getvalue().startswith("error: ") and field in err.getvalue()
+    assert err.startswith("error: ") and field in err
     assert not out.exists()
 
 
@@ -290,10 +322,24 @@ def test_netlist_decomposes_haar(tmp_path):
     assert all(e["kind"] in ("phase-shifter", "beam-splitter") for e in doc["elements"])
 
 
-def test_netlist_is_json_only(tmp_path):
-    code, _ = run("netlist", "--haar", "3", "--format", "csv",
-                  "--out", str(tmp_path / "n.csv"))
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "algebra", "--seed", "5"], id="verify-seed"),
+    pytest.param(["verify", "algebra", "--jobs", "2"], id="verify-jobs"),
+    pytest.param(["sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
+                  "--format", "json"], id="sweep-format"),
+    pytest.param(["nogo", "--config", "CFG", "--format", "csv"], id="nogo-format"),
+    pytest.param(["lift", "--haar", "2", "--photons", "1", "--jobs", "2"], id="lift-jobs"),
+    pytest.param(["netlist", "--haar", "3", "--format", "csv"], id="netlist-format"),
+])
+def test_unread_flag_is_usage_error(tmp_path, argv):
+    # each command takes only the flags its code reads; the rest once
+    # passed silently (verify kept its fixed seeds, sweep still wrote CSV)
+    argv = [write_config(tmp_path / "cfg.json") if a == "CFG" else a for a in argv]
+    out = tmp_path / "out"
+    code, err = run_err(*argv, "--out", str(out))
     assert code == EXIT_USAGE
+    assert err.startswith("usage: focklift")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +365,21 @@ def test_stdout_fallback_without_out():
 
 def test_unknown_subcommand_is_usage_error():
     assert run("frobnicate")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--haar", "2", "--photons", "1"],
+    ["netlist", "--haar", "2"],
+    ["bench", "--max-n", "3", "--repeats", "1"],
+    ["sweep", "--grid", "0,0.5", "--samples", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_usage_error(tmp_path, argv):
+    # numpy once rejected the seed with a ValueError traceback and exit 1
+    out = tmp_path / "o.out"
+    code, err = run_err(*argv, "--seed", "-1", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "--seed" in err
+    assert not out.exists()
 
 
 def test_manifest_records_outputs(tmp_path):
