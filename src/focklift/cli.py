@@ -25,7 +25,6 @@ import math
 import os
 import secrets
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 from importlib import resources
@@ -83,8 +82,11 @@ def _dump_json(payload: dict) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".focklift-")
+    # os.open with 0o666 applies the umask exactly as open() does; mkstemp
+    # would leave the output readable by its owner alone (mode 0600)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".focklift-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -178,17 +180,21 @@ def _load_matrix(path: str) -> np.ndarray:
         raise InvalidInputError(f"matrix file {path!r} is ragged or malformed: {exc}") from exc
 
 
-def _source_unitary(ns, seed: int) -> tuple[np.ndarray, dict]:
+def _source_unitary(ns) -> tuple[np.ndarray, dict, int | None]:
+    """The mode unitary, its source record and the seed it was drawn with
+    (None for an --input matrix, which uses no randomness)."""
     if (ns.haar is None) == (ns.input is None):
         raise InvalidInputError("give exactly one of --haar M or --input PATH")
     if ns.haar is not None:
+        seed = _resolve_seed(ns)
         v = haar_random_unitary(ns.haar, seed)
         src = {"haar_dim": ns.haar}
     else:
+        seed = None
         v = _load_matrix(ns.input)
         src = {"input": os.path.abspath(ns.input)}
     require_unitary(v, name="input matrix")
-    return v, src
+    return v, src, seed
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +236,14 @@ def cmd_sweep(ns) -> int:
     report["manifest"]["outputs"].append(os.path.abspath(summary_path))
     _atomic_write(ns.out, "epsilon,leakage,entangling_measure\n"
                   + "".join(f"{e!r},{l!r},{m!r}\n" for e, l, m in rows))
-    _emit(summary_path, _dump_json(report),
-          f"sweep: {len(rows)} points, {len(zero_rows)} decoupled, "
-          f"max measure on decoupled rows {max_measure_zero:.3e}")
+    try:
+        _emit(summary_path, _dump_json(report),
+              f"sweep: {len(rows)} points, {len(zero_rows)} decoupled, "
+              f"max measure on decoupled rows {max_measure_zero:.3e}")
+    except OSError:
+        # a failed sweep leaves neither file
+        os.unlink(ns.out)
+        raise
     return EXIT_OK
 
 
@@ -570,8 +581,7 @@ def cmd_bench(ns) -> int:
 def cmd_lift(ns) -> int:
     if ns.photons < 1:
         raise InvalidInputError(f"--photons must be >= 1, got {ns.photons}")
-    seed = _resolve_seed(ns)
-    v, src = _source_unitary(ns, seed)
+    v, src, seed = _source_unitary(ns)
     lifted = lift_unitary(v, ns.photons)
     if ns.format == "csv":
         text = lifted_to_csv(lifted)
@@ -584,8 +594,7 @@ def cmd_lift(ns) -> int:
 
 
 def cmd_netlist(ns) -> int:
-    seed = _resolve_seed(ns)
-    v, src = _source_unitary(ns, seed)
+    v, src, seed = _source_unitary(ns)
     elements = reck_decompose(v)
     dim = int(v.shape[0])
     err = float(np.max(np.abs(recompose(elements, dim) - v)))

@@ -6,12 +6,15 @@ the matrix
     <m| phi(v) |n> = Per(v[m|n]) / sqrt(prod_i m_i! * prod_j n_j!)
 
 where v[m|n] repeats row i of v m_i times (output occupations) and column j
-n_j times (input occupations).  ``lift_unitary`` computes that matrix with
-the Ryser kernel, called on stacks of those submatrices;
-``lift_via_substitution`` recomputes the same action by literal operator
-substitution a_i+ -> sum_j v[j, i] a_j+ followed by polynomial expansion,
-and serves as the independent oracle for the orientation conventions
-above.
+n_j times (input occupations).  ``lift_unitary`` computes no permanent:
+the creation-operator recursion (Miatto & Quesada, Quantum 4, 366 (2020))
+
+    phi(v)|n> = n_j^{-1/2} (sum_i v[i, j] a_i+) phi(v)|n - e_j>
+
+builds sector N from sector N - 1, so one pass yields every sector 0..N.
+The permanent formula is the test oracle; ``lift_via_substitution``
+recomputes the same action by substituting a_i+ -> sum_j v[j, i] a_j+ and
+expanding, the independent oracle for the orientation conventions above.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import require_unitary
-from .permanent import _BLOCK_ENTRIES, _ryser
+from .permanent import _BLOCK_ENTRIES
 
 __all__ = [
     "FockBasis",
@@ -101,35 +104,50 @@ def basis_enumerate(modes: int, photons: int) -> FockBasis:
 
 @dataclass(frozen=True)
 class LiftedUnitary:
-    """A mode unitary represented on one photon-number sector."""
+    """A mode unitary on the photon-number sectors 0..N: ``sectors[k]`` is
+    its k-photon matrix; ``basis`` and ``matrix`` are those of sector N."""
 
     basis: FockBasis
-    matrix: np.ndarray
+    sectors: tuple[np.ndarray, ...]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.sectors[-1]
 
 
 @lru_cache(maxsize=None)
-def _rep_and_norm(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state repeated mode indices (D, N) and norms sqrt(prod n_i!)."""
-    basis = basis_enumerate(modes, photons)
-    d = len(basis)
-    rep = np.zeros((d, photons), dtype=np.int64)
-    norm = np.zeros(d, dtype=np.float64)
-    for k, state in enumerate(basis.states):
-        idx = [i for i, n in enumerate(state) for _ in range(n)]
-        rep[k, :] = idx
-        norm[k] = math.sqrt(math.prod(math.factorial(n) for n in state))
-    return rep, norm
+def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
+    """Tables that build the N-photon sector from the (N-1)-photon one.
+
+    Column n peels a photon off its first occupied mode j (``peel``), from
+    ``parent`` = index of n - e_j, with factor ``inv`` = 1/sqrt(n_j).  Row r
+    adds it back from each mode i: ``source[r, i]`` = index of r - e_i and
+    ``weight[r, 0, i]`` = sqrt(r_i) (0, source 0, when r_i = 0; complex so
+    the matmul needs no cast).  O(D * M) entries, read-only: callers share them.
+    """
+    states = basis_enumerate(modes, photons).states
+    index = basis_enumerate(modes, photons - 1).index
+    occ = np.array(states)
+    source = np.array([[index(s[:i] + (k - 1,) + s[i + 1:]) if k else 0
+                        for i, k in enumerate(s)] for s in states], dtype=np.intp)
+    rows = np.arange(len(states))
+    peel = np.argmax(occ > 0, axis=1)
+    tables = (peel, source[rows, peel], 1.0 / np.sqrt(occ[rows, peel]), source,
+              np.sqrt(occ)[:, None, :].astype(complex))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnitary:
-    """Lift a mode unitary to its matrix on the N-photon sector.
+    """Lift a mode unitary to its matrices on the sectors 0..N.
 
     Parameters
     ----------
     v : (M, M) array_like
         Mode unitary; rows are output modes, columns input modes.
     photons : int
-        Sector photon number N >= 0.  N = 0 gives the 1 x 1 identity.
+        Top sector photon number N >= 0.  N = 0 gives the 1 x 1 identity.
     check : bool
         Validate unitarity of v (skip only in hot loops that construct v
         as an exact exponential).
@@ -137,18 +155,23 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
     v = np.asarray(v, dtype=complex)
     if check:
         v = require_unitary(v, name="mode matrix")
-    rep, norm = _rep_and_norm(v.shape[0], photons)
-    d = len(norm)
-    matrix = np.empty((d, d), dtype=complex)
-    # the submatrices v[m|n] of whole rows of the matrix, one stack per kernel
-    # call, as many rows at a time as fit one kernel block
-    step = max(1, _BLOCK_ENTRIES // max(d * photons * photons, 1))
-    for a in range(0, d, step):
-        subs = v[rep[a:a + step, None, :, None], rep[None, :, None, :]]
-        stack = subs.reshape(subs.shape[0] * d, photons, photons)
-        matrix[a:a + step] = _ryser(stack).reshape(-1, d)
-    matrix /= np.outer(norm, norm)
-    return LiftedUnitary(basis=basis_enumerate(v.shape[0], photons), matrix=matrix)
+    modes = v.shape[0]
+    basis = basis_enumerate(modes, photons)
+    sectors = [np.ones((1, 1), dtype=complex)]
+    for n in range(1, photons + 1):
+        peel, parent, inv, source, weight = _recursion_tables(modes, n)
+        prev = sectors[-1]
+        coeff = v[:, peel] * inv  # v[i, j] / sqrt(n_j) for each column n
+        d = len(peel)
+        out = np.empty((d, 1, d), dtype=complex)
+        # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|prev|n - e_j>,
+        # as many rows at a time as keep the (rows, M, D) gather within one block
+        step = max(1, _BLOCK_ENTRIES // (modes * d))
+        for a in range(0, d, step):
+            rows = slice(a, a + step)
+            np.matmul(weight[rows], prev[source[rows, :, None], parent] * coeff, out=out[rows])
+        sectors.append(out.reshape(d, d))
+    return LiftedUnitary(basis=basis, sectors=tuple(sectors))
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +306,20 @@ def sector_product_check(v_c: np.ndarray, v_a: np.ndarray, photons: int) -> floa
     v[:mc, :mc] = v_c
     v[mc:, mc:] = v_a
     full = lift_unitary(v, photons)
-    lifts_c = {k: lift_unitary(v_c, k) for k in range(photons + 1)}
-    lifts_a = {k: lift_unitary(v_a, k) for k in range(photons + 1)}
+    sectors_c = lift_unitary(v_c, photons).sectors
+    sectors_a = lift_unitary(v_a, photons).sectors
+
+    def entry(sectors, m, n):
+        index = basis_enumerate(len(m), sum(m)).index
+        return sectors[sum(m)][index(m), index(n)]
+
     worst = 0.0
     for r, m in enumerate(full.basis.states):
-        m_c, m_a = m[:mc], m[mc:]
         for s, n in enumerate(full.basis.states):
-            n_c, n_a = n[:mc], n[mc:]
-            if sum(m_c) == sum(n_c):
-                lc = lifts_c[sum(m_c)]
-                la = lifts_a[sum(m_a)]
-                expected = lc.matrix[lc.basis.index(m_c), lc.basis.index(n_c)] * \
-                    la.matrix[la.basis.index(m_a), la.basis.index(n_a)]
-            else:
-                expected = 0j
-            dev = abs(full.matrix[r, s] - expected)
-            if dev > worst:
-                worst = dev
+            expected = 0j
+            if sum(m[:mc]) == sum(n[:mc]):
+                expected = entry(sectors_c, m[:mc], n[:mc]) * entry(sectors_a, m[mc:], n[mc:])
+            worst = max(worst, abs(full.matrix[r, s] - expected))
     return worst
 
 

@@ -75,16 +75,18 @@ def bunched_partition(modes: int, photons: int) -> tuple[tuple[int, ...], tuple[
     return tuple(comp), tuple(bunch)
 
 
+def _coupling_mask(modes: int, photons: int) -> np.ndarray:
+    """(D, D) mask of the computational <-> bunched entries of a sector."""
+    bunched = np.zeros(len(basis_enumerate(modes, photons)), dtype=bool)
+    bunched[list(bunched_partition(modes, photons)[1])] = True
+    return bunched[:, None] != bunched[None, :]
+
+
 def subspace_leakage(lifted: LiftedUnitary) -> float:
     """Frobenius weight of the computational <-> bunched couplings of a
     lifted matrix (both directions)."""
-    comp, bunch = bunched_partition(lifted.basis.modes, lifted.basis.photons)
-    if not bunch:
-        return 0.0
-    m = lifted.matrix
-    a2b = m[np.ix_(bunch, comp)]
-    b2a = m[np.ix_(comp, bunch)]
-    return math.sqrt(float(np.sum(np.abs(a2b) ** 2) + np.sum(np.abs(b2a) ** 2)))
+    mask = _coupling_mask(lifted.basis.modes, lifted.basis.photons)
+    return float(np.linalg.norm(lifted.matrix[mask]))
 
 
 def block_diagonality_defect(v: np.ndarray, split: int = 2) -> float:
@@ -464,11 +466,13 @@ class _AncillaFrame:
             1: ((1, 0), (0, 1)),
             2: ((2, 0), (1, 1), (0, 2)),
         }
-        self.sectors = sorted({ancilla_photons + t for t in (0, 1, 2)})
+        # computational <-> bunched entries of the top sector, which holds
+        # the doubly occupied input
+        self.coupling = _coupling_mask(modes, ancilla_photons + 2)
         self.input_index: dict[tuple[int, int], int] = {}
         # slice_index[n_tot][rail occ] = indices of rail+anc states, anc in order
         self.slice_index: dict[int, dict[tuple[int, int], np.ndarray]] = {}
-        for n_tot in self.sectors:
+        for n_tot in range(ancilla_photons, ancilla_photons + 3):
             basis = basis_enumerate(modes, n_tot)
             rails = self.rail_groups[n_tot - ancilla_photons]
             self.slice_index[n_tot] = {
@@ -500,7 +504,7 @@ def _ancilla_eval(v: np.ndarray, frame: _AncillaFrame) -> tuple[float, float, np
     """(entangling measure, constraint weight, induced 4x4) for a mode unitary."""
     m = frame.modes
     k = frame.k
-    lifts = {n: lift_unitary(v, n, check=False) for n in frame.sectors}
+    phi = lift_unitary(v, k + 2, check=False).sectors
 
     # residual penalty: closed-form error-avoidance amplitudes
     res_sq = 0.0
@@ -508,11 +512,11 @@ def _ancilla_eval(v: np.ndarray, frame: _AncillaFrame) -> tuple[float, float, np
         res_sq += abs(2.0 * v[0, i] ** 2) ** 2 + abs(2.0 * v[1, i] ** 2) ** 2
     residual_norm = math.sqrt(res_sq)
 
-    # leakage penalty on the top sector (holds the doubly occupied input)
-    leak = subspace_leakage(lifts[k + 2])
+    # leakage penalty on the top sector
+    leak = float(np.linalg.norm(phi[k + 2][frame.coupling]))
 
     # reference ancilla output chi from the pure-ancilla input
-    chi_col = lifts[k].matrix[:, frame.chi_input]
+    chi_col = phi[k][:, frame.chi_input]
     chi = chi_col[frame.slice_index[k][(0, 0)]]
     chi_norm = float(np.linalg.norm(chi))
     if chi_norm < 1e-12:
@@ -529,7 +533,7 @@ def _ancilla_eval(v: np.ndarray, frame: _AncillaFrame) -> tuple[float, float, np
     defect_sq = 0.0
     for n in frame.qubit_inputs:
         n_tot = n[0] + n[1] + k
-        col = lifts[n_tot].matrix[:, frame.input_index[n]].copy()
+        col = phi[n_tot][:, frame.input_index[n]].copy()
         for rail in frame.rail_groups[n[0] + n[1]]:
             sl = frame.slice_index[n_tot][rail]
             amp = complex(np.vdot(chi, col[sl]))

@@ -7,9 +7,10 @@ Two deliberately independent routes:
 * ``ryser``   - Ryser's inclusion-exclusion formula, O(2^n * n), in numpy.
   Capped at n <= 24.
 
-The Ryser kernel is the one production route, for ``permanent`` and for
-``fock.lift_unitary`` alike.  It takes a stack of matrices, so a lift needs
-only a few calls, and splits the columns in two.  The row sums of every
+The Ryser kernel is the one production route of ``permanent``; the Fock
+lift computes no permanents (``fock.lift_unitary`` builds each sector from
+the one below it).  The kernel takes a stack of matrices and splits the
+columns in two.  The row sums of every
 subset of the inner columns are tabulated at once (2^n subsets for small n,
 2^8 at n = 20); the outer columns are walked in Gray-code order (Nijenhuis &
 Wilf 1978), adding or removing one column per step and reducing the whole
@@ -30,7 +31,8 @@ RYSER_MAX_N = 24
 
 # Complex entries in one block of the subset table (2^13 x 16 B = 128 KiB).
 # The tabulated columns are as many as fit one block, and a stack is taken
-# as many matrices at a time as fit one block.
+# as many matrices at a time as fit one block.  fock.lift_unitary bounds its
+# row chunks by the same block.
 _BLOCK_ENTRIES = 1 << 13
 
 

@@ -89,15 +89,15 @@ def composite_gate_fock(params: CompositeGateParams) -> np.ndarray:
 
 
 def assemble_from_mode_matrix(v: np.ndarray, check: bool = True) -> np.ndarray:
-    """6 x 6 Fock matrix of a two-mode unitary via per-sector permanent lifts."""
+    """6 x 6 Fock matrix of a two-mode unitary from its lift to sectors 0..2."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise InvalidInputError(f"expected a 2 x 2 mode matrix, got {v.shape}")
+    zero, one, two = lift_unitary(v, 2, check=check).sectors
     u = np.zeros((6, 6), dtype=complex)
-    u[0, 0] = lift_unitary(v, 0, check=check).matrix[0, 0]
-    u[1:3, 1:3] = lift_unitary(v, 1, check=False).matrix
-    two = lift_unitary(v, 2, check=False).matrix  # sector order (2,0), (1,1), (0,2)
-    pos = (4, 3, 5)
+    u[0, 0] = zero[0, 0]
+    u[1:3, 1:3] = one
+    pos = (4, 3, 5)  # two-photon sector order (2,0), (1,1), (0,2)
     for i in range(3):
         for j in range(3):
             u[pos[i], pos[j]] = two[i, j]

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ def test_sweep_rejects_bad_grid(tmp_path, grid):
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert not out.exists()
+
+
+def test_failed_sweep_leaves_neither_file(tmp_path):
+    # the summary write fails after the CSV is in place; the CSV once stayed
+    (tmp_path / "sw.summary.json").mkdir()
+    out = tmp_path / "sw.csv"
+    code, _ = run("sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
+                  "--out", str(out))
+    assert code == EXIT_IO
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.summary.json"]
 
 
 def test_sweep_comma_grid(tmp_path):
@@ -306,6 +317,22 @@ def test_non_finite_matrix_file_is_usage_error(tmp_path, command, entries):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["lift", "--photons", "2"], ["netlist"]])
+def test_input_runs_record_no_seed_and_repeat_bytes(tmp_path, command):
+    # an --input run draws no random numbers, so it records no seed; a fresh
+    # random seed in the manifest once made two identical runs differ
+    src = tmp_path / "v.json"
+    src.write_text(json.dumps(
+        [[[z.real, z.imag] for z in row] for row in haar_random_unitary(3, 19)]))
+    out = tmp_path / "o.json"
+    argv = [*command, "--input", str(src), "--no-timestamps", "--out", str(out)]
+    assert run(*argv)[0] == EXIT_OK
+    first = out.read_bytes()
+    assert json.loads(first)["manifest"]["seed"] is None
+    assert run(*argv)[0] == EXIT_OK
+    assert out.read_bytes() == first
+
+
 # ---------------------------------------------------------------------------
 # netlist
 # ---------------------------------------------------------------------------
@@ -354,6 +381,16 @@ def test_unwritable_out_exits_io_and_leaves_no_partial(tmp_path):
     assert not target_dir.exists()
     # atomic writes never leave temp droppings next to the target
     assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_get_the_mode_open_gives(tmp_path):
+    # temp files once came from mkstemp, so every output was mode 0600
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    out = tmp_path / "lift.json"
+    assert run("lift", "--haar", "2", "--photons", "1", "--seed", "1", "--out", str(out))[0] == EXIT_OK
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_stdout_fallback_without_out():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -121,17 +122,38 @@ def test_lift_matches_substitution_oracle():
 
 def test_lift_matches_naive_permanent_entrywise():
     # <m|phi(v)|n> = Per(v[m|n]) / sqrt(prod m_i! prod n_j!), one entry at a
-    # time with the definitional permanent, against the stacked production lift
-    v = haar_random_unitary(3, 14)
-    lifted = lift_unitary(v, 3)
-    expected = np.empty_like(lifted.matrix)
-    for a, m in enumerate(lifted.basis.states):
-        rows = [i for i, k in enumerate(m) for _ in range(k)]
-        for b, n in enumerate(lifted.basis.states):
-            cols = [j for j, k in enumerate(n) for _ in range(k)]
-            scale = math.sqrt(math.prod(map(math.factorial, m + n)))
-            expected[a, b] = permanent(v[np.ix_(rows, cols)], algorithm="naive") / scale
-    assert np.max(np.abs(lifted.matrix - expected)) < 1e-13
+    # time with the definitional permanent, against every sector 0..N that
+    # the recursive production lift returns
+    rng = np.random.default_rng(14)
+    for modes, photons in ((4, 3), (4, 4), (6, 3), (6, 4), (2, 4)):
+        v = haar_random_unitary(modes, rng)
+        lifted = lift_unitary(v, photons)
+        assert len(lifted.sectors) == photons + 1
+        assert lifted.matrix is lifted.sectors[photons]
+        for k, sector in enumerate(lifted.sectors):
+            states = basis_enumerate(modes, k).states
+            expected = np.empty((len(states), len(states)), dtype=complex)
+            for a, m in enumerate(states):
+                rows = [i for i, c in enumerate(m) for _ in range(c)]
+                for b, n in enumerate(states):
+                    cols = [j for j, c in enumerate(n) for _ in range(c)]
+                    scale = math.sqrt(math.prod(map(math.factorial, m + n)))
+                    expected[a, b] = permanent(v[np.ix_(rows, cols)], algorithm="naive") / scale
+            assert np.max(np.abs(sector - expected)) < 1e-13, (modes, photons, k)
+
+
+def test_lift_row_chunks_match_one_block(monkeypatch):
+    # a block of 16 entries leaves one output row per chunk, so the chunk
+    # bounds of every sector are exercised against a single-chunk lift
+    fock = importlib.import_module("focklift.fock")
+    v = haar_random_unitary(5, 18)
+    monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 1 << 30)
+    whole = lift_unitary(v, 4)
+    monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 16)
+    chunked = lift_unitary(v, 4)
+    for a, b in zip(whole.sectors, chunked.sectors, strict=True):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
