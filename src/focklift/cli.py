@@ -1,5 +1,5 @@
-"""Batch front end: sweeps, no-go searches, invariant suites, benchmarks,
-lifted-matrix dumps, and mesh netlists.
+"""Batch front end: sweeps, no-go searches, lifted-matrix dumps, and mesh
+netlists.
 
 Every JSON report comes from ``_report``: ``"schema": 1`` plus a manifest
 with the command, the effective config, the seed, the package version, and
@@ -25,7 +25,6 @@ import math
 import os
 import secrets
 import sys
-import time
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -35,37 +34,10 @@ import numpy as np
 # focklift.nogo (as the benchmark's tracer does) sees them
 from . import __version__, nogo
 from .errors import InvalidInputError, ResourceLimitError
-from .fock import (
-    basis_enumerate,
-    basis_monomial,
-    lift_unitary,
-    lift_via_substitution,
-    lifted_to_csv,
-    lifted_to_jsonable,
-    poly_to_vector,
-    sector_product_check,
-)
-from .linalg import exp_i_hermitian, frobenius, haar_random_unitary, require_unitary
-from .modes import (
-    beam_splitter,
-    composite_gate_mode_matrix,
-    CompositeGateParams,
-    elements_to_jsonable,
-    generator_xyz,
-    reck_decompose,
-    recompose,
-)
-from .permanent import NAIVE_MAX_N, permanent, RYSER_MAX_N
-from .singlerail import (
-    assemble_from_mode_matrix,
-    composite_gate_fock,
-    decoupled_form_even,
-    decoupled_form_odd,
-    entangling_measure,
-    extract_computational,
-    leakage,
-    leakage_and_measure,
-)
+from .fock import lift_unitary, lifted_to_csv, lifted_to_jsonable
+from .linalg import haar_random_unitary, require_unitary
+from .modes import CompositeGateParams, elements_to_jsonable, reck_decompose, recompose
+from .singlerail import leakage_and_measure
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,11 +128,11 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _load_matrix(path: str) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read matrix file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"matrix file {path!r} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("matrix")
@@ -168,11 +140,11 @@ def _load_matrix(path: str) -> np.ndarray:
         raise InvalidInputError(f"matrix file {path!r} holds no matrix")
 
     def entry(e):
-        if isinstance(e, (int, float)):
-            return complex(e)
-        if isinstance(e, list) and len(e) == 2:
-            return complex(e[0], e[1])
-        raise TypeError(f"entries must be numbers or [re, im] pairs, got {e!r}")
+        parts = e if isinstance(e, list) and len(e) == 2 else [e, 0]
+        # bool is an int subclass, but true/false are not matrix entries
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+            raise TypeError(f"entries must be numbers or [re, im] pairs, got {e!r}")
+        return complex(*parts)
 
     try:
         return np.array([[entry(e) for e in row] for row in data], dtype=complex)
@@ -254,9 +226,9 @@ def cmd_sweep(ns) -> int:
 def _load_search_config(name: str) -> tuple[dict, str]:
     if os.path.exists(name):
         try:
-            with open(name) as fh:
+            with open(name, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"config {name!r} is not valid JSON: {exc}") from exc
         return raw, os.path.abspath(name)
     ref = resources.files("focklift").joinpath("configs", name + ".json")
@@ -296,282 +268,6 @@ def cmd_nogo(ns) -> int:
           f"nogo [{mode}] {label}: best measure "
           f"{result.best_entangling_measure:.6e}, leakage {result.best_leakage:.3e}")
     return EXIT_CERTIFICATION if certified is False else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify: each suite yields (name, residual, tolerance) per check
-# ---------------------------------------------------------------------------
-
-def _suite_algebra():
-    x, y, z = generator_xyz()
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    yield "su2-closure", max(
-        frobenius(comm(x, y) - 1j * z),
-        frobenius(comm(y, z) - 1j * x),
-        frobenius(comm(z, x) - 1j * y),
-    ), 1e-14
-
-    rng = np.random.default_rng(_VERIFY_SEED)
-    res = 0.0
-    for _ in range(20):
-        a, b, g, d, e = rng.uniform(-math.pi, math.pi, size=5)
-        route = (np.diag([np.exp(1j * a), np.exp(1j * b)])
-                 @ beam_splitter(e)
-                 @ np.diag([np.exp(1j * g), np.exp(1j * d)]))
-        res = max(res, frobenius(
-            composite_gate_mode_matrix(CompositeGateParams(a, b, g, d, e)) - route))
-    yield "mode-matrix-route", res, 1e-14
-
-    res = 0.0
-    for dim in range(2, 7):
-        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (h + h.conj().T) / 2
-        v = exp_i_hermitian(h)
-        res = max(res, frobenius(v.conj().T @ v - np.eye(dim)))
-    yield "exp-unitary", res, 1e-12
-
-    res = 0.0
-    for dim in range(2, 9):
-        v = haar_random_unitary(dim, rng)
-        res = max(res, frobenius(v.conj().T @ v - np.eye(dim)))
-    yield "haar-unitary", res, 1e-12
-
-    res = excess = 0.0
-    for dim in range(2, 7):
-        v = haar_random_unitary(dim, rng)
-        elements = reck_decompose(v)
-        res = max(res, float(np.max(np.abs(recompose(elements, dim) - v))))
-        excess = max(excess, float(len(elements) - dim * (dim + 1) // 2))
-    yield "reck-roundtrip", res, 1e-10
-    yield "reck-element-count", max(0.0, excess), 0.0
-
-
-def _suite_fock():
-    lifted = lift_unitary(beam_splitter(math.pi / 4), 2)
-    i11 = lifted.basis.index((1, 1))
-    yield "hom-dip", abs(lifted.matrix[i11, i11]), 1e-14
-
-    rng = np.random.default_rng(_VERIFY_SEED + 1)
-    res = 0.0
-    for photons in (2, 3):
-        v1 = haar_random_unitary(3, rng)
-        v2 = haar_random_unitary(3, rng)
-        lhs = lift_unitary(v1 @ v2, photons).matrix
-        rhs = lift_unitary(v1, photons).matrix @ lift_unitary(v2, photons).matrix
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    yield "homomorphism", res, 1e-10
-
-    v = haar_random_unitary(4, rng)
-    m = lift_unitary(v, 3).matrix
-    yield "lift-unitary", float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))), 1e-9
-
-    res = 0.0
-    for _ in range(5):
-        v = haar_random_unitary(3, rng)
-        lifted = lift_unitary(v, 2)
-        basis = lifted.basis
-        cols = [poly_to_vector(lift_via_substitution(v, basis_monomial(n)), basis)
-                for n in basis.states]
-        res = max(res, float(np.max(np.abs(lifted.matrix - np.stack(cols, axis=1)))))
-    yield "substitution-route", res, 1e-12
-
-    res = 0.0
-    for _ in range(5):
-        vc = haar_random_unitary(2, rng)
-        va = haar_random_unitary(2, rng)
-        res = max(res, sector_product_check(vc, va, 2))
-    yield "sector-product", res, 1e-12
-
-    dim = len(basis_enumerate(4, 3))
-    res = float(np.max(np.abs(lift_unitary(np.eye(4, dtype=complex), 3).matrix - np.eye(dim))))
-    yield "identity-lift", res, 1e-15
-
-
-def _suite_singlerail():
-    rng = np.random.default_rng(_VERIFY_SEED + 2)
-
-    res = 0.0
-    for _ in range(100):
-        p = CompositeGateParams(*rng.uniform(-math.pi, math.pi, size=5))
-        closed = composite_gate_fock(p)
-        lifted = assemble_from_mode_matrix(composite_gate_mode_matrix(p))
-        res = max(res, float(np.max(np.abs(closed - lifted))))
-    yield "closed-vs-lifted", res, 1e-12
-
-    res = 0.0
-    for eps in np.linspace(-2 * math.pi, 2 * math.pi, 1001):
-        leak = leakage(composite_gate_fock(CompositeGateParams(0, 0, 0, 0, eps)))
-        res = max(res, abs(leak.frobenius_leakage - math.sqrt(2) * abs(math.sin(2 * eps))))
-    yield "leakage-law", res, 1e-12
-
-    res_even = res_odd = 0.0
-    for _ in range(20):
-        a, b, g, d = rng.uniform(-math.pi, math.pi, size=4)
-        for n in (0, 1, 2):
-            pe = CompositeGateParams(a, b, g, d, n * math.pi)
-            res_even = max(res_even, float(np.max(np.abs(
-                decoupled_form_even(n, a, b, g, d) - composite_gate_fock(pe)))))
-            po = CompositeGateParams(a, b, g, d, (2 * n + 1) * math.pi / 2)
-            res_odd = max(res_odd, float(np.max(np.abs(
-                decoupled_form_odd(n, a, b, g, d) - composite_gate_fock(po)))))
-    yield "even-form", res_even, 1e-12
-    yield "odd-form", res_odd, 1e-12
-
-    cnot = np.eye(4, dtype=complex)
-    cnot[2:, 2:] = [[0, 1], [1, 0]]
-    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
-    yield "measure-pins", max(
-        abs(entangling_measure(cnot) - 0.5),
-        entangling_measure(np.eye(4, dtype=complex)),
-        entangling_measure(swap),
-    ), 1e-12
-
-    res = 0.0
-    for _ in range(50):
-        a, b, g, d = rng.uniform(-math.pi, math.pi, size=4)
-        n = int(rng.integers(0, 3))
-        res = max(res, entangling_measure(extract_computational(
-            decoupled_form_even(n, a, b, g, d))))
-        res = max(res, entangling_measure(extract_computational(
-            decoupled_form_odd(n, a, b, g, d))))
-    yield "decoupled-not-entangling", res, 1e-10
-
-
-def _suite_nogo():
-    rng = np.random.default_rng(_VERIFY_SEED + 3)
-
-    res = 0.0
-    for m in (3, 4):
-        for _ in range(20):
-            res = max(res, nogo.dont_cause_errors_residuals(
-                haar_random_unitary(m, rng)).max_route_deviation)
-    yield "residual-closed-form", res, 1e-10
-
-    res = 0.0
-    for m in (3, 4, 6):
-        for _ in range(30):
-            v = haar_random_unitary(m, rng)
-            for split in range(1, m):
-                res = max(res, nogo.block_lemma_check(v, split))
-    yield "lemma-gap", res, 1e-10
-
-    vb = np.zeros((5, 5), dtype=complex)
-    vb[:2, :2] = haar_random_unitary(2, rng)
-    vb[2:, 2:] = haar_random_unitary(3, rng)
-    yield "zero-block-propagation", float(np.linalg.norm(vb[:2, 2:])), 0.0
-
-    expected = {(2, 0): 1, (2, 1): 2, (2, 2): 1, (3, 2): 4}
-    res = 0.0
-    for (m, n), comp_count in expected.items():
-        comp, _ = nogo.bunched_partition(m, n)
-        res = max(res, float(abs(len(comp) - comp_count)))
-    yield "partition-counts", res, 0.0
-
-    res = 0.0
-    for m, k in ((3, 0), (4, 1)):
-        frame = nogo._AncillaFrame(m, k)
-        for _ in range(5):
-            vp = nogo._project_feasible(haar_random_unitary(m, rng))
-            _, constraint, _ = nogo._ancilla_eval(vp, frame)
-            res = max(res, constraint)
-    yield "projection-feasible", res, 1e-10
-
-    cfg = nogo.SearchConfig(modes=2, restarts=6, max_iterations=200,
-                            penalty_weight=1e5, seed=101)
-    yield "mini-certificate", nogo.nogo_search_two_mode(cfg).best_entangling_measure, 1e-6
-
-    cfg = nogo.SearchConfig(modes=2, restarts=8, max_iterations=300,
-                            penalty_weight=0, seed=102)
-    unconstrained = nogo.nogo_search_two_mode(cfg)
-    yield "entangling-power", max(0.0, 0.1 - unconstrained.best_entangling_measure), 0.0
-
-
-_VERIFY_SEED = 77
-_SUITES = {
-    "algebra": _suite_algebra,
-    "fock": _suite_fock,
-    "singlerail": _suite_singlerail,
-    "nogo": _suite_nogo,
-}
-
-
-def cmd_verify(ns) -> int:
-    checks = []
-    for suite in (list(_SUITES) if ns.suite == "all" else [ns.suite]):
-        for name, residual, tol in _SUITES[suite]():
-            residual = float(residual)
-            passed = bool(residual <= tol)
-            checks.append({"suite": suite, "name": name, "residual": residual,
-                           "tolerance": tol, "passed": passed})
-            sys.stdout.write(f"[{'PASS' if passed else 'FAIL'}] {suite}.{name}  "
-                             f"residual={residual:.3e}  tol={tol:.0e}\n")
-    passed = all(c["passed"] for c in checks)
-    report = _report(ns, {"suite": ns.suite}, None, {"checks": checks, "passed": passed})
-    line = (f"verify {ns.suite}: {'all passed' if passed else 'FAILURES'} "
-            f"({len(checks)} checks)")
-    # the summary line reaches stdout with or without --out
-    _emit(ns.out, _dump_json(report) if ns.out else line + "\n", line)
-    return EXIT_OK if passed else EXIT_CERTIFICATION
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def cmd_bench(ns) -> int:
-    algorithms = [a.strip() for a in ns.algorithms.split(",") if a.strip()]
-    for a in algorithms:
-        if a not in ("naive", "ryser"):
-            raise InvalidInputError(f"unknown algorithm {a!r} (naive or ryser)")
-    if not algorithms:
-        raise InvalidInputError("empty algorithm set")
-    if not 2 <= ns.max_n <= RYSER_MAX_N:
-        raise InvalidInputError(f"--max-n must be in [2, {RYSER_MAX_N}], got {ns.max_n}")
-    if ns.repeats < 1:
-        raise InvalidInputError(f"--repeats must be >= 1, got {ns.repeats}")
-    seed = _resolve_seed(ns)
-    rng = np.random.default_rng(seed)
-
-    # cross-check the kernels before trusting any timing
-    agreement = 0.0
-    for n in range(2, min(8, ns.max_n) + 1):
-        for _ in range(20):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a = permanent(m, algorithm="naive")
-            b = permanent(m, algorithm="ryser")
-            agreement = max(agreement, abs(a - b) / max(abs(a), 1e-30))
-    if agreement > 1e-10:
-        sys.stderr.write(f"bench: kernels disagree ({agreement:.3e}); aborting\n")
-        return EXIT_CERTIFICATION
-
-    rows = []
-    for algorithm in algorithms:
-        cap = NAIVE_MAX_N if algorithm == "naive" else RYSER_MAX_N
-        for n in range(2, min(cap, ns.max_n) + 1):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            permanent(m, algorithm=algorithm)  # warm run
-            times = []
-            for _ in range(ns.repeats):
-                t0 = time.perf_counter_ns()
-                permanent(m, algorithm=algorithm)
-                times.append(time.perf_counter_ns() - t0)
-            rows.append((n, algorithm, float(np.mean(times)), float(np.std(times))))
-
-    if ns.format == "json":
-        config = {"max_n": ns.max_n, "algorithms": algorithms, "repeats": ns.repeats}
-        text = _dump_json(_report(ns, config, seed, {
-            "agreement_max_relative_error": agreement,
-            "rows": [{"n": n, "algorithm": a, "mean_ns": mu, "std_ns": sd}
-                     for n, a, mu, sd in rows],
-        }))
-    else:
-        text = "n,algorithm,mean_ns,std_ns\n" + "".join(
-            f"{n},{a},{mu!r},{sd!r}\n" for n, a, mu, sd in rows)
-    _emit(ns.out, text, f"bench: {len(rows)} rows, kernel agreement {agreement:.3e}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -618,28 +314,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="focklift",
         description="Passive linear optics in Fock space: sweeps, no-go "
-                    "certificates, invariant suites, and mesh tools.",
+                    "certificates, lifted matrices, and mesh tools.",
     )
     parser.add_argument("--version", action="version", version=f"focklift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, text, seed=True, jobs=False, fmt=None, source=False):
-        """A subcommand with --out, --no-timestamps and the other flags its
-        code reads."""
+    def command(name, func, text, jobs=False, source=False):
+        """A subcommand with --seed, --out, --no-timestamps and the other
+        flags its code reads."""
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (>= 0); generated and recorded if omitted")
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (>= 0); generated and recorded if omitted")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--no-timestamps", action="store_true",
                        help="omit timestamps and wall times for reproducible output")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
                            help="worker processes; results do not depend on it")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default=fmt,
-                           help="output format")
         if source:
             p.add_argument("--haar", type=int, default=None,
                            help="sample a Haar-random unitary of this dimension")
@@ -657,17 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="config file path or packaged name (two_mode, m3, m4_ancilla)")
 
-    p = command("verify", cmd_verify, "run invariant suites", seed=False)
-    p.add_argument("suite", nargs="?", default="all",
-                   choices=tuple(_SUITES) + ("all",))
-
-    p = command("bench", cmd_bench, "time the permanent kernels", fmt="csv")
-    p.add_argument("--max-n", type=int, default=20)
-    p.add_argument("--algorithms", default="naive,ryser")
-    p.add_argument("--repeats", type=int, default=5)
-
-    p = command("lift", cmd_lift, "dump the N-photon matrix of a mode unitary",
-                fmt="json", source=True)
+    p = command("lift", cmd_lift, "dump the N-photon matrix of a mode unitary", source=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.add_argument("--photons", type=int, required=True)
 
     command("netlist", cmd_netlist, "triangular mesh decomposition of a mode unitary",

@@ -43,7 +43,11 @@ __all__ = [
     "lifted_to_csv",
 ]
 
-# Hard cap on sector dimension; C(N+M-1, M-1) grows fast.
+# Hard cap on sector dimension; C(N+M-1, M-1) grows fast.  A lift keeps
+# every sector 0..N, so their entries together may not exceed what one
+# sector at the cap holds, MAX_BASIS_SIZE**2, nor their number the cap
+# itself (each sector also costs ~2 KB of tables, which on one mode
+# dominate its single entry).
 MAX_BASIS_SIZE = 10_000
 
 
@@ -102,6 +106,12 @@ def basis_enumerate(modes: int, photons: int) -> FockBasis:
     return FockBasis(modes=modes, photons=photons, states=states)
 
 
+@lru_cache(maxsize=None)
+def _kept_entries(modes: int, photons: int) -> int:
+    """Entries of the sectors 0..N that a lift keeps."""
+    return sum(math.comb(n + modes - 1, modes - 1) ** 2 for n in range(photons + 1))
+
+
 @dataclass(frozen=True)
 class LiftedUnitary:
     """A mode unitary on the photon-number sectors 0..N: ``sectors[k]`` is
@@ -148,6 +158,9 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         Mode unitary; rows are output modes, columns input modes.
     photons : int
         Top sector photon number N >= 0.  N = 0 gives the 1 x 1 identity.
+        The kept sectors may number at most MAX_BASIS_SIZE and hold at most
+        MAX_BASIS_SIZE**2 entries in all; more raise ResourceLimitError
+        before anything is allocated.
     check : bool
         Validate unitarity of v (skip only in hot loops that construct v
         as an exact exponential).
@@ -157,6 +170,11 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         v = require_unitary(v, name="mode matrix")
     modes = v.shape[0]
     basis = basis_enumerate(modes, photons)
+    if photons >= MAX_BASIS_SIZE or _kept_entries(modes, photons) > MAX_BASIS_SIZE ** 2:
+        raise ResourceLimitError(
+            f"a lift keeps the sectors 0..{photons} on {modes} modes; the cap is "
+            f"{MAX_BASIS_SIZE} sectors and {MAX_BASIS_SIZE ** 2} entries in all"
+        )
     sectors = [np.ones((1, 1), dtype=complex)]
     for n in range(1, photons + 1):
         peel, parent, inv, source, weight = _recursion_tables(modes, n)

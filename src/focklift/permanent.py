@@ -9,12 +9,11 @@ Two deliberately independent routes:
 
 The Ryser kernel is the one production route of ``permanent``; the Fock
 lift computes no permanents (``fock.lift_unitary`` builds each sector from
-the one below it).  The kernel takes a stack of matrices and splits the
-columns in two.  The row sums of every
-subset of the inner columns are tabulated at once (2^n subsets for small n,
-2^8 at n = 20); the outer columns are walked in Gray-code order (Nijenhuis &
-Wilf 1978), adding or removing one column per step and reducing the whole
-inner table at each.
+the one below it).  The kernel takes one matrix and splits its columns in
+two.  The row sums of every subset of the inner columns are tabulated at
+once (2^n subsets for small n, 2^8 at n = 20); the outer columns are walked
+in Gray-code order (Nijenhuis & Wilf 1978), adding or removing one column
+per step and reducing the whole inner table at each.
 """
 from __future__ import annotations
 
@@ -30,50 +29,45 @@ NAIVE_MAX_N = 9
 RYSER_MAX_N = 24
 
 # Complex entries in one block of the subset table (2^13 x 16 B = 128 KiB).
-# The tabulated columns are as many as fit one block, and a stack is taken
-# as many matrices at a time as fit one block.  fock.lift_unitary bounds its
-# row chunks by the same block.
+# The tabulated columns are as many as fit one block.  fock.lift_unitary
+# bounds its row chunks by the same block.
 _BLOCK_ENTRIES = 1 << 13
 
 
-def _ryser(stack: np.ndarray) -> np.ndarray:
-    """Permanents of a (k, n, n) stack of complex matrices, as a (k,) array.
+def _ryser(mat: np.ndarray) -> complex:
+    """Permanent of an (n, n) complex matrix.
 
     Per(A) = (-1)^n * sum_S (-1)^|S| prod_i sum_{j in S} a_ij over all
     column subsets S.  The row sums over subsets of the first lo columns
-    form a table of shape (n, 2^lo, matrices), built by doubling: the
-    subsets containing column j are those without it plus column j.  Step t
-    of the Gray walk over the other columns adds or removes one column, so
-    the outer subset has the parity of t.
+    form an (n, 2^lo) table, built by doubling: the subsets containing
+    column j are those without it plus column j.  Step t of the Gray walk
+    over the other columns adds or removes one column, so the outer subset
+    has the parity of t.
     """
-    k, n, _ = stack.shape
+    n = mat.shape[0]
     lo = min(n, (_BLOCK_ENTRIES // max(n, 1)).bit_length() - 1)
-    signs = np.ones((1 << lo, 1))  # (-1)^|S|, bit j of S meaning column j
+    signs = np.ones(1 << lo)  # (-1)^|S|, bit j of S meaning column j
     for j in range(lo):
         signs[1 << j:2 << j] = -signs[:1 << j]
-    chunk = max(1, _BLOCK_ENTRIES // max(n << lo, 1))
-    out = np.empty(k, dtype=complex)
-    for a in range(0, k, chunk):
-        cols = stack[a:a + chunk].transpose(2, 1, 0)  # (column, row, matrix)
-        sums = np.zeros((n, 1 << lo, cols.shape[2]), dtype=complex)
-        for j in range(lo):
-            np.add(sums[:, :1 << j], cols[j][:, None], out=sums[:, 1 << j:2 << j])
-        outer = np.zeros((n, 1, cols.shape[2]), dtype=complex)
-        total = np.zeros(cols.shape[2], dtype=complex)
-        for t in range(1 << (n - lo)):
-            if t:
-                j = (t & -t).bit_length() - 1
-                if (t ^ (t >> 1)) >> j & 1:
-                    outer += cols[lo + j][:, None]
-                else:
-                    outer -= cols[lo + j][:, None]
-            term = ((sums + outer).prod(axis=0) * signs).sum(axis=0)
-            if (n + t) & 1:
-                total -= term
+    cols = mat.T[:, :, None]  # (column, row, 1)
+    sums = np.zeros((n, 1 << lo), dtype=complex)
+    for j in range(lo):
+        np.add(sums[:, :1 << j], cols[j], out=sums[:, 1 << j:2 << j])
+    outer = np.zeros((n, 1), dtype=complex)
+    total = 0j
+    for t in range(1 << (n - lo)):
+        if t:
+            j = (t & -t).bit_length() - 1
+            if (t ^ (t >> 1)) >> j & 1:
+                outer += cols[lo + j]
             else:
-                total += term
-        out[a:a + chunk] = total
-    return out
+                outer -= cols[lo + j]
+        term = ((sums + outer).prod(axis=0) * signs).sum()
+        if (n + t) & 1:
+            total -= term
+        else:
+            total += term
+    return complex(total)
 
 
 # Cached permutation index tables for the naive kernel, keyed by n.
@@ -114,5 +108,5 @@ def permanent(mat: np.ndarray, algorithm: str = "ryser") -> complex:
     if algorithm == "ryser":
         if n > RYSER_MAX_N:
             raise ResourceLimitError(f"ryser permanent capped at n <= {RYSER_MAX_N}, got n = {n}")
-        return complex(_ryser(mat[None])[0])
+        return _ryser(mat)
     raise InvalidInputError(f"unknown permanent algorithm {algorithm!r}")

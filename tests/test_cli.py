@@ -4,16 +4,19 @@ Everything runs in-process through main(argv). Output capture goes through
 explicit --out files or redirect_stdout, so the suite works with -s.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from focklift.cli import EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from focklift.cli import EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, main
 from focklift.linalg import haar_random_unitary
 
 
@@ -39,29 +42,6 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return str(path)
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("suite, count", [("algebra", 6), ("all", 25)])
-def test_verify_suite_passes(tmp_path, suite, count):
-    report = tmp_path / "verify.json"
-    code, out = run("verify", suite, "--out", str(report))
-    assert code == EXIT_OK
-    assert out.count("[PASS]") == count
-    assert "[FAIL]" not in out
-    assert out.endswith(f"verify {suite}: all passed ({count} checks)\n")
-    doc = json.loads(report.read_text())
-    assert doc["passed"] is True
-    assert len(doc["checks"]) == count
-    assert all(c["passed"] for c in doc["checks"])
-
-
-def test_verify_rejects_unknown_suite():
-    code, _ = run("verify", "nonsense")
-    assert code == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +173,17 @@ def test_nogo_rejects_bad_config(tmp_path):
     wrong.write_text(json.dumps({"mode": "two_mode", "modes": 1}))
     assert run("nogo", "--config", str(wrong))[0] == EXIT_USAGE
 
+    # a non-UTF-8 file once gave a UnicodeDecodeError traceback and exit 1
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"mode": "two_mode", "note": "\xe9"}')
+    code, err = run_err("nogo", "--config", str(latin))
+    assert code == EXIT_USAGE and err.startswith("error: ")
+
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps({"mode": "two_mode", "modes": True}))
+    code, err = run_err("nogo", "--config", str(boolean))
+    assert code == EXIT_USAGE and "modes" in err
+
     # a Fock sector beyond the basis cap is a config error, not a crash
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"mode": "ancilla", "modes": 30, "ancilla_photons": 12,
@@ -226,35 +217,6 @@ def test_nogo_packaged_config_resolves(tmp_path):
     code, _ = run("nogo", "--config", "m3", "--out", str(out), "--jobs", "2")
     assert code == EXIT_OK
     assert json.loads(out.read_text())["certified"] is True
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def test_bench_produces_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    code, _ = run("bench", "--max-n", "6", "--repeats", "2", "--seed", "5",
-                  "--out", str(out))
-    assert code == EXIT_OK
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,algorithm,mean_ns,std_ns"
-    algs = {line.split(",")[1] for line in lines[1:]}
-    assert algs == {"naive", "ryser"}
-
-
-def test_bench_json_format(tmp_path):
-    out = tmp_path / "bench.json"
-    code, _ = run("bench", "--max-n", "4", "--repeats", "1", "--seed", "5",
-                  "--format", "json", "--out", str(out))
-    assert code == EXIT_OK
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == 1
-    assert all(set(r) >= {"n", "algorithm", "mean_ns"} for r in doc["rows"])
-
-
-def test_bench_rejects_huge_n():
-    assert run("bench", "--max-n", "30")[0] == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +268,16 @@ def test_lift_usage_errors(tmp_path):
 @pytest.mark.parametrize("entries", [
     [["NaN", "NaN"], ["NaN", "NaN"]],
     [[1, "Infinity"], [0, 1]],
+    pytest.param([[True, False], [False, True]], id="boolean"),
+    pytest.param(b"[[1, 0], [0, 1]] \xff", id="not-utf8"),
 ])
 def test_non_finite_matrix_file_is_usage_error(tmp_path, command, entries):
-    # lift once wrote bare NaN tokens with exit 0; netlist died in round(NaN)
+    # lift once wrote bare NaN tokens with exit 0; netlist died in round(NaN);
+    # true/false once lifted as 1/0, and a non-UTF-8 file gave a traceback
     src = tmp_path / "v.json"
-    src.write_text(json.dumps(entries).replace('"', ""))
+    if not isinstance(entries, bytes):
+        entries = json.dumps(entries).replace('"', "").encode()
+    src.write_bytes(entries)
     out = tmp_path / "o.json"
     code, _ = run(*command, "--input", str(src), "--out", str(out))
     assert code == EXIT_USAGE
@@ -350,8 +317,6 @@ def test_netlist_decomposes_haar(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["verify", "algebra", "--seed", "5"], id="verify-seed"),
-    pytest.param(["verify", "algebra", "--jobs", "2"], id="verify-jobs"),
     pytest.param(["sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
                   "--format", "json"], id="sweep-format"),
     pytest.param(["nogo", "--config", "CFG", "--format", "csv"], id="nogo-format"),
@@ -360,7 +325,7 @@ def test_netlist_decomposes_haar(tmp_path):
 ])
 def test_unread_flag_is_usage_error(tmp_path, argv):
     # each command takes only the flags its code reads; the rest once
-    # passed silently (verify kept its fixed seeds, sweep still wrote CSV)
+    # passed silently (sweep still wrote CSV)
     argv = [write_config(tmp_path / "cfg.json") if a == "CFG" else a for a in argv]
     out = tmp_path / "out"
     code, err = run_err(*argv, "--out", str(out))
@@ -400,14 +365,33 @@ def test_stdout_fallback_without_out():
     assert doc["lifted"]["modes"] == 2
 
 
+def test_readme_flag_table_matches_the_parser():
+    # the table once kept listing flags and commands the parser had dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Each subcommand takes only the flags it reads:")[1]
+    listed = {}
+    for row in table.strip().split("\n\n")[0].splitlines()[2:]:
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([a-z]+)`", names):
+            listed[name] = re.findall(r"`(--[a-z-]+)`", flags)
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(listed) == sorted(subparsers)
+    for name, flags in listed.items():
+        accepted = {opt for a in subparsers[name]._actions for opt in a.option_strings}
+        assert flags and set(flags) <= accepted, name
+
+
 def test_unknown_subcommand_is_usage_error():
-    assert run("frobnicate")[0] == EXIT_USAGE
+    # verify and bench were removed: the test suite holds the invariant
+    # checks and perfbench the permanent timings
+    for name in ("frobnicate", "verify", "bench"):
+        assert run(name)[0] == EXIT_USAGE
 
 
 @pytest.mark.parametrize("argv", [
     ["lift", "--haar", "2", "--photons", "1"],
     ["netlist", "--haar", "2"],
-    ["bench", "--max-n", "3", "--repeats", "1"],
     ["sweep", "--grid", "0,0.5", "--samples", "1"],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_is_usage_error(tmp_path, argv):

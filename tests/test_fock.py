@@ -108,6 +108,21 @@ def test_lift_rejects_non_unitary_unless_unchecked():
     assert unchecked.matrix.shape == (3, 3)
 
 
+def test_lift_bounds_all_kept_sectors(monkeypatch):
+    # every top sector here is under the basis cap, but the sectors 0..N a
+    # lift keeps once had no bound: (M, N) = (2, 3000) passed the 10 000-state
+    # cap and asked for ~144 GB
+    fock = importlib.import_module("focklift.fock")
+    monkeypatch.setattr(fock, "MAX_BASIS_SIZE", 40)
+    assert len(lift_unitary(np.eye(2), 15).sectors) == 16  # 1496 entries <= 40**2
+    with pytest.raises(ResourceLimitError, match="cap"):
+        lift_unitary(np.eye(2), 30)  # 31 states, 10416 entries in sectors 0..30
+    # one mode: N + 1 entries, but each kept sector also costs its tables
+    assert len(lift_unitary(np.eye(1), 39).sectors) == 40
+    with pytest.raises(ResourceLimitError, match="cap"):
+        lift_unitary(np.eye(1), 40)
+
+
 def test_lift_matches_substitution_oracle():
     rng = np.random.default_rng(13)
     for modes, photons in ((2, 2), (2, 3), (3, 2)):

@@ -52,8 +52,10 @@ def test_partition_two_modes():
 
 
 def test_partition_counts_and_disjointness():
-    for modes, photons in ((2, 0), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)):
+    comp_counts = {(2, 0): 1, (2, 1): 2, (2, 2): 1, (3, 2): 4, (3, 3): 4, (4, 3): 12}
+    for (modes, photons), comp_count in comp_counts.items():
         comp, bunch = bunched_partition(modes, photons)
+        assert len(comp) == comp_count
         states = lift_unitary(np.eye(modes, dtype=complex), photons).basis.states
         assert sorted(comp + bunch) == list(range(len(states)))
         for i in comp:
