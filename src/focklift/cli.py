@@ -44,6 +44,10 @@ EXIT_USAGE = 2
 EXIT_CERTIFICATION = 3
 EXIT_IO = 4
 
+# a start:stop:count grid is rejected above this many points, before numpy
+# allocates it
+MAX_GRID_POINTS = 100_000
+
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -113,6 +117,8 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         if len(parts) == 3:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count > MAX_GRID_POINTS:
+                raise InvalidInputError(f"grid has {count} points, cap is {MAX_GRID_POINTS}")
             with np.errstate(invalid="ignore"):
                 values = [float(x) for x in np.linspace(start, stop, count)]
         else:
@@ -174,8 +180,8 @@ def _source_unitary(ns) -> tuple[np.ndarray, dict, int | None]:
 # ---------------------------------------------------------------------------
 
 def _sweep_task(args: tuple) -> tuple[float, float, float]:
-    eps, samples, seed, index, npoints = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(npoints)[index])
+    eps, samples, seed, index = args
+    rng = nogo._task_rng(seed, index)
     leak = leakage_and_measure(CompositeGateParams(0.0, 0.0, 0.0, 0.0, eps))[0]
     best = 0.0
     for _ in range(samples):
@@ -191,7 +197,7 @@ def cmd_sweep(ns) -> int:
     if ns.out is None:
         raise InvalidInputError("sweep requires --out for the CSV table")
     seed = _resolve_seed(ns)
-    tasks = [(eps, ns.samples, seed, i, len(grid)) for i, eps in enumerate(grid)]
+    tasks = [(eps, ns.samples, seed, i) for i, eps in enumerate(grid)]
     rows = nogo._run_restarts(_sweep_task, tasks, ns.jobs)
 
     zero_rows = [r for r in rows if r[1] < 1e-12]

@@ -112,6 +112,16 @@ def _kept_entries(modes: int, photons: int) -> int:
     return sum(math.comb(n + modes - 1, modes - 1) ** 2 for n in range(photons + 1))
 
 
+def _check_lift_size(modes: int, photons: int) -> None:
+    """Raise ResourceLimitError when a lift to N photons would keep more than
+    MAX_BASIS_SIZE sectors or MAX_BASIS_SIZE**2 entries in all."""
+    if photons >= MAX_BASIS_SIZE or _kept_entries(modes, photons) > MAX_BASIS_SIZE ** 2:
+        raise ResourceLimitError(
+            f"a lift keeps the sectors 0..{photons} on {modes} modes; the cap is "
+            f"{MAX_BASIS_SIZE} sectors and {MAX_BASIS_SIZE ** 2} entries in all"
+        )
+
+
 @dataclass(frozen=True)
 class LiftedUnitary:
     """A mode unitary on the photon-number sectors 0..N: ``sectors[k]`` is
@@ -170,11 +180,7 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         v = require_unitary(v, name="mode matrix")
     modes = v.shape[0]
     basis = basis_enumerate(modes, photons)
-    if photons >= MAX_BASIS_SIZE or _kept_entries(modes, photons) > MAX_BASIS_SIZE ** 2:
-        raise ResourceLimitError(
-            f"a lift keeps the sectors 0..{photons} on {modes} modes; the cap is "
-            f"{MAX_BASIS_SIZE} sectors and {MAX_BASIS_SIZE ** 2} entries in all"
-        )
+    _check_lift_size(modes, photons)
     sectors = [np.ones((1, 1), dtype=complex)]
     for n in range(1, photons + 1):
         peel, parent, inv, source, weight = _recursion_tables(modes, n)

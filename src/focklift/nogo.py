@@ -17,6 +17,10 @@ constraint) and a snapped or projected candidate on the exactly feasible
 manifold; ``_search`` owns the penalty ladder, restarts, trace and
 selection, so the reported constrained optimum is a max over genuinely
 feasible points and can only under-report the certificate.
+
+The ancilla certificate at the 1e-10 tolerance comes from projected
+candidates, which entangle nothing by construction: no optimizer endpoint
+of the packaged m3 and m4_ancilla runs has met that tolerance.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InvalidInputError
-from .fock import LiftedUnitary, basis_enumerate, lift_unitary
+from .fock import LiftedUnitary, _check_lift_size, basis_enumerate, lift_unitary
 from .linalg import exp_i_hermitian, require_unitary
 from .modes import CompositeGateParams
 from .singlerail import (
@@ -257,9 +261,13 @@ class SearchResult:
     endpoint), ``"snapped"`` (two-mode: the endpoint with its mixing angle
     snapped to a multiple of pi/2) or ``"projected"`` (ancilla: the
     endpoint's mode unitary projected onto the feasible manifold).  A
-    projected winner's ``best_parameters`` are the generator *before*
-    projection; its mode unitary is
-    ``_project_feasible(exp_i_hermitian(_ancilla_hermitian(x, modes)))``.
+    projected winner's ``best_parameters`` x are the generator *before*
+    projection: its mode unitary projects exp(i H) onto the block-diagonal
+    unitaries with a diagonal or antidiagonal rail block, H holding x[:M] on
+    the diagonal and x[M::2] + i x[M+1::2] on the upper triangle row by row.
+    Constrained ancilla runs are certified by such winners alone: no
+    optimizer endpoint has met the 1e-10 tolerance (0 of 8 in m3 and
+    m4_ancilla runs), and projected points entangle nothing by construction.
     """
 
     constrained: bool
@@ -309,8 +317,7 @@ def _restart(args: tuple) -> list[_Candidate]:
     """One Nelder-Mead run of measure - mu * constraint from the family's
     start point; returns the endpoint and the family's feasible candidate."""
     family, cfg, r, mu = args
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[r])
-    x0 = family.start(rng)
+    x0 = family.start(_task_rng(cfg.seed, r))
 
     def objective(x: np.ndarray) -> float:
         meas, constraint = family.evaluate(family.point(x))
@@ -332,6 +339,12 @@ def _restart(args: tuple) -> list[_Candidate]:
     endpoint = ("endpoint", [float(t) for t in res.x], *family.evaluate(end))
     params, point = family.feasible(res.x, end)
     return [endpoint, (family.kind, [float(t) for t in params], *family.evaluate(point))]
+
+
+def _task_rng(seed: int, index: int) -> np.random.Generator:
+    """The stream of SeedSequence(seed).spawn(n)[index] for every n > index,
+    without building the other n - 1 children."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _run_restarts(task_fn, tasks: list[tuple], jobs: int) -> list:
@@ -443,112 +456,6 @@ def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
 # ancilla-assisted search
 # ---------------------------------------------------------------------------
 
-class _AncillaFrame:
-    """Precomputed index maps for the induced-gate evaluation.
-
-    The four computational inputs |n1 n2> ride along with a fixed ancilla
-    state (all ancilla photons in the first ancilla mode); outputs are
-    projected onto (occupation on the rails) x (reference ancilla state chi),
-    where chi is read off the propagated pure-ancilla input.
-    """
-
-    def __init__(self, modes: int, ancilla_photons: int):
-        self.modes = modes
-        self.k = ancilla_photons
-        self.anc_pattern = tuple(
-            ancilla_photons if j == 0 else 0 for j in range(modes - 2)
-        )
-        self.anc_states = basis_enumerate(modes - 2, ancilla_photons).states
-        self.qubit_inputs = ((0, 0), (0, 1), (1, 0), (1, 1))
-        # rail occupations grouped by rail photon total
-        self.rail_groups = {
-            0: ((0, 0),),
-            1: ((1, 0), (0, 1)),
-            2: ((2, 0), (1, 1), (0, 2)),
-        }
-        # computational <-> bunched entries of the top sector, which holds
-        # the doubly occupied input
-        self.coupling = _coupling_mask(modes, ancilla_photons + 2)
-        self.input_index: dict[tuple[int, int], int] = {}
-        # slice_index[n_tot][rail occ] = indices of rail+anc states, anc in order
-        self.slice_index: dict[int, dict[tuple[int, int], np.ndarray]] = {}
-        for n_tot in range(ancilla_photons, ancilla_photons + 3):
-            basis = basis_enumerate(modes, n_tot)
-            rails = self.rail_groups[n_tot - ancilla_photons]
-            self.slice_index[n_tot] = {
-                rail: np.array([basis.index(rail + a) for a in self.anc_states], dtype=np.intp)
-                for rail in rails
-            }
-        for n in self.qubit_inputs:
-            n_tot = n[0] + n[1] + ancilla_photons
-            basis = basis_enumerate(modes, n_tot)
-            self.input_index[n] = basis.index(n + self.anc_pattern)
-        self.chi_input = basis_enumerate(modes, ancilla_photons).index(
-            (0, 0) + self.anc_pattern
-        )
-
-
-def _ancilla_hermitian(x: np.ndarray, modes: int) -> np.ndarray:
-    h = np.zeros((modes, modes), dtype=complex)
-    h[np.diag_indices(modes)] = x[:modes]
-    t = modes
-    for i in range(modes):
-        for j in range(i + 1, modes):
-            h[i, j] = x[t] + 1j * x[t + 1]
-            h[j, i] = x[t] - 1j * x[t + 1]
-            t += 2
-    return h
-
-
-def _ancilla_eval(v: np.ndarray, frame: _AncillaFrame) -> tuple[float, float, np.ndarray]:
-    """(entangling measure, constraint weight, induced 4x4) for a mode unitary."""
-    m = frame.modes
-    k = frame.k
-    phi = lift_unitary(v, k + 2, check=False).sectors
-
-    # residual penalty: closed-form error-avoidance amplitudes
-    res_sq = 0.0
-    for i in range(2, m):
-        res_sq += abs(2.0 * v[0, i] ** 2) ** 2 + abs(2.0 * v[1, i] ** 2) ** 2
-    residual_norm = math.sqrt(res_sq)
-
-    # leakage penalty on the top sector
-    leak = float(np.linalg.norm(phi[k + 2][frame.coupling]))
-
-    # reference ancilla output chi from the pure-ancilla input
-    chi_col = phi[k][:, frame.chi_input]
-    chi = chi_col[frame.slice_index[k][(0, 0)]]
-    chi_norm = float(np.linalg.norm(chi))
-    if chi_norm < 1e-12:
-        chi = np.zeros_like(chi)
-        chi[0] = 1.0
-    else:
-        chi = chi / chi_norm
-
-    # factorization defect: for each computational input, subtract the
-    # rail-occupation (x) chi reconstruction from the output column; what
-    # remains is weight outside the product form (wrong ancilla state, or a
-    # photon exchanged between rails and ancillas) and must vanish
-    gate = np.zeros((4, 4), dtype=complex)
-    defect_sq = 0.0
-    for n in frame.qubit_inputs:
-        n_tot = n[0] + n[1] + k
-        col = phi[n_tot][:, frame.input_index[n]].copy()
-        for rail in frame.rail_groups[n[0] + n[1]]:
-            sl = frame.slice_index[n_tot][rail]
-            amp = complex(np.vdot(chi, col[sl]))
-            col[sl] -= amp * chi
-            if rail[0] <= 1 and rail[1] <= 1:
-                gate[2 * rail[0] + rail[1], 2 * n[0] + n[1]] = amp
-        defect_sq += float(np.sum(np.abs(col) ** 2))
-    defect = math.sqrt(defect_sq)
-
-    constraint = leak + residual_norm + defect
-    u, _, vh = np.linalg.svd(gate)
-    meas = entangling_measure(u @ vh)
-    return meas, constraint, gate
-
-
 def _project_feasible(v: np.ndarray) -> np.ndarray:
     """Project a mode unitary onto the exactly feasible manifold.
 
@@ -556,24 +463,15 @@ def _project_feasible(v: np.ndarray) -> np.ndarray:
     the rail block pushed to the nearer of diagonal or antidiagonal form
     (the zero-bunching two-mode unitaries).
     """
-    m = v.shape[0]
-    a = v[:2, :2]
-    b = v[2:, 2:]
-    ua, _, vha = np.linalg.svd(a)
+    ua, _, vha = np.linalg.svd(v[:2, :2])
     a = ua @ vha
-    if abs(a[0, 0]) ** 2 + abs(a[1, 1]) ** 2 >= abs(a[0, 1]) ** 2 + abs(a[1, 0]) ** 2:
-        d0 = a[0, 0] / abs(a[0, 0]) if abs(a[0, 0]) > 1e-12 else 1.0
-        d1 = a[1, 1] / abs(a[1, 1]) if abs(a[1, 1]) > 1e-12 else 1.0
-        a_proj = np.diag([d0, d1]).astype(complex)
-    else:
-        d0 = a[0, 1] / abs(a[0, 1]) if abs(a[0, 1]) > 1e-12 else 1.0
-        d1 = a[1, 0] / abs(a[1, 0]) if abs(a[1, 0]) > 1e-12 else 1.0
-        a_proj = np.array([[0, d0], [d1, 0]], dtype=complex)
-    out = np.zeros((m, m), dtype=complex)
-    out[:2, :2] = a_proj
-    if m > 2:
-        ub, _, vhb = np.linalg.svd(b)
-        out[2:, 2:] = ub @ vhb
+    w = np.abs(a) ** 2
+    # rail block entries kept: (0, 0), (1, 1) if diagonal, (0, 1), (1, 0) if not
+    pair = ([0, 1], [0, 1] if w[0, 0] + w[1, 1] >= w[0, 1] + w[1, 0] else [1, 0])
+    ub, _, vhb = np.linalg.svd(v[2:, 2:])
+    out = np.zeros(v.shape, dtype=complex)
+    out[pair] = [z / abs(z) if abs(z) > 1e-12 else 1.0 for z in a[pair]]
+    out[2:, 2:] = ub @ vhb
     return out
 
 
@@ -582,21 +480,78 @@ class _AncillaFamily:
     feasible candidate projects the endpoint's mode unitary onto the
     exactly feasible manifold and keeps the unprojected generator as its
     parameters (the projection is deterministic, so the point is
-    reproducible)."""
+    reproducible).
+
+    The four computational inputs |n1 n2> ride along with all ancilla
+    photons in the first ancilla mode; each output is compared, per rail
+    occupation, with the ancilla state chi that the input |0 0> leaves.
+    """
 
     kind = "projected"
 
     def __init__(self, cfg: SearchConfig):
-        self.frame = _AncillaFrame(cfg.modes, cfg.ancilla_photons)
+        m, k = cfg.modes, cfg.ancilla_photons
+        _check_lift_size(m, k + 2)
+        self.modes, self.photons = m, k + 2
+        # generator: x[:m] on the diagonal, then (re, im) pairs row by row
+        upper = np.triu_indices(m, 1)
+        self.gen_rows = np.concatenate([np.arange(m), upper[0]])
+        self.gen_cols = np.concatenate([np.arange(m), upper[1]])
+        # computational <-> bunched entries of the top sector, which holds
+        # the doubly occupied input
+        self.coupling = _coupling_mask(m, k + 2)
+        ancilla = basis_enumerate(m - 2, k).states
+        # the first four rail occupations are the computational inputs in
+        # gate column order; per input keep (sector, input column, (rails x
+        # ancilla states) index block, gate rows of the computational rails,
+        # which come first in the block)
+        rails = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
+        self.inputs = []
+        for n in rails[:4]:
+            index = basis_enumerate(m, sum(n) + k).index
+            group = [r for r in rails if sum(r) == sum(n)]
+            block = np.array([[index(r + a) for a in ancilla] for r in group], dtype=np.intp)
+            rows = [2 * r[0] + r[1] for r in group if max(r) <= 1]
+            self.inputs.append((sum(n) + k, index(n + ancilla[0]), block, rows))
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-math.pi, math.pi, size=self.frame.modes ** 2)
+        return rng.uniform(-math.pi, math.pi, size=self.modes ** 2)
 
     def point(self, x: np.ndarray) -> np.ndarray:
-        return exp_i_hermitian(_ancilla_hermitian(x, self.frame.modes))
+        m = self.modes
+        entries = np.concatenate([x[:m], x[m::2] + 1j * x[m + 1::2]])
+        h = np.empty((m, m), dtype=complex)
+        h[self.gen_cols, self.gen_rows] = entries.conj()
+        h[self.gen_rows, self.gen_cols] = entries
+        return exp_i_hermitian(h)
 
     def evaluate(self, v: np.ndarray) -> tuple[float, float]:
-        return _ancilla_eval(v, self.frame)[:2]
+        return self.evaluate_gate(v)[:2]
+
+    def evaluate_gate(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(entangling measure, constraint weight, induced 4x4) for a mode unitary."""
+        phi = lift_unitary(v, self.photons, check=False).sectors
+        # closed-form error-avoidance amplitudes 2 v[r, i]^2, rails r, ancillas i
+        residual = 2.0 * math.sqrt(float(np.sum(np.abs(v[:2, 2:]) ** 4)))
+        leak = float(np.linalg.norm(phi[-1][self.coupling]))
+        sector, col, block, _ = self.inputs[0]
+        chi = phi[sector][block[0], col]
+        chi_norm = float(np.linalg.norm(chi))
+        chi = chi / chi_norm if chi_norm >= 1e-12 else np.eye(len(chi))[0]
+        # factorization defect: for each computational input, subtract the
+        # rail-occupation (x) chi reconstruction from the output column; what
+        # remains is weight outside the product form (wrong ancilla state, or a
+        # photon exchanged between rails and ancillas) and must vanish
+        gate = np.zeros((4, 4), dtype=complex)
+        defect_sq = 0.0
+        for c, (sector, col, block, rows) in enumerate(self.inputs):
+            out = phi[sector][:, col].copy()
+            amps = out[block] @ chi.conj()
+            out[block] -= np.outer(amps, chi)
+            gate[rows, c] = amps[:len(rows)]
+            defect_sq += float(np.vdot(out, out).real)
+        u, _, vh = np.linalg.svd(gate)
+        return entangling_measure(u @ vh), leak + residual + math.sqrt(defect_sq), gate
 
     def feasible(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, _project_feasible(v)

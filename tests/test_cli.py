@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focklift.cli import EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, main
+from focklift.cli import (EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS,
+                          _build_parser, main)
 from focklift.linalg import haar_random_unitary
 
 
@@ -80,6 +81,8 @@ def test_sweep_requires_out(tmp_path):
     pytest.param("0,nan", id="nan"),
     pytest.param("inf", id="inf"),
     pytest.param("0:inf:3", id="inf-range"),
+    # an unbounded count once asked numpy for a 7.45 GiB linspace
+    pytest.param(f"0:1:{MAX_GRID_POINTS + 1}", id="oversize-range"),
 ])
 def test_sweep_rejects_bad_grid(tmp_path, grid):
     # a NaN point once died in round(NaN) inside modes.py with exit 1

@@ -1,19 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from focklift.errors import InvalidInputError
+import focklift.nogo
+from focklift.errors import InvalidInputError, ResourceLimitError
 from focklift.fock import lift_unitary
-from focklift.linalg import exp_i_hermitian, haar_random_unitary
+from focklift.linalg import haar_random_unitary
 from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
-    _ancilla_eval,
-    _ancilla_hermitian,
-    _AncillaFrame,
+    _AncillaFamily,
     _penalty_levels,
     _project_feasible,
+    _task_rng,
     AncillaCheckReport,
     block_diagonality_defect,
     block_lemma_check,
@@ -292,22 +293,26 @@ def test_search_result_timing_switch():
 # ancilla search internals
 # ---------------------------------------------------------------------------
 
+def ancilla_family(modes, ancilla_photons=0):
+    return _AncillaFamily(SearchConfig(modes=modes, ancilla_photons=ancilla_photons))
+
+
 def test_projection_lands_on_feasible_manifold():
     rng = np.random.default_rng(54)
     for m, k in ((3, 0), (4, 1), (4, 2)):
-        frame = _AncillaFrame(m, k)
+        family = ancilla_family(m, k)
         for _ in range(5):
             vp = _project_feasible(haar_random_unitary(m, rng))
             assert np.linalg.norm(vp[:2, 2:]) == 0.0
             assert np.linalg.norm(vp[2:, :2]) == 0.0
-            meas, constraint, _ = _ancilla_eval(vp, frame)
+            meas, constraint, _ = family.evaluate_gate(vp)
             assert constraint < 1e-10
             assert meas < 1e-10
 
 
 def test_ancilla_eval_identity_gate():
-    frame = _AncillaFrame(3, 0)
-    meas, constraint, gate = _ancilla_eval(np.eye(3, dtype=complex), frame)
+    family = ancilla_family(3)
+    meas, constraint, gate = family.evaluate_gate(np.eye(3, dtype=complex))
     assert constraint < 1e-14
     assert meas < 1e-14
     assert np.max(np.abs(gate - np.eye(4))) < 1e-14
@@ -317,9 +322,70 @@ def test_ancilla_eval_flags_rail_mixing():
     # a beam splitter across the rails bunches photons: constraint must be big
     v = np.eye(3, dtype=complex)
     v[:2, :2] = composite_gate_mode_matrix(CompositeGateParams(0, 0, 0, 0, math.pi / 4))
-    frame = _AncillaFrame(3, 0)
-    _, constraint, _ = _ancilla_eval(v, frame)
+    family = ancilla_family(3)
+    _, constraint, _ = family.evaluate_gate(v)
     assert constraint > 1.0
+
+
+def test_ancilla_objective_matches_golden_values():
+    # (measure, constraint, gate) recorded from the per-rail loop evaluation
+    # that the index-table family replaced, on a Haar unitary, a generator
+    # point and a point 1e-4 away from the feasible manifold per (M, k)
+    golden = json.loads((Path(__file__).with_name("ancilla_golden.json")).read_text())
+    assert {(c["modes"], c["ancilla_photons"]) for c in golden} == {
+        (3, 0), (4, 1), (4, 2), (5, 2)}
+    for case in golden:
+        m, seed = case["modes"], case["seed"]
+        family = ancilla_family(m, case["ancilla_photons"])
+        x = np.random.default_rng(seed).uniform(-math.pi, math.pi, m * m)
+        haar = haar_random_unitary(m, seed)
+        v = {"haar": haar, "generator": family.point(0.05 * x),
+             "near": _project_feasible(haar) @ family.point(1e-4 * x)}[case["unitary"]]
+        meas, constraint, gate = family.evaluate_gate(v)
+        assert abs(meas - case["measure"]) <= 1e-12
+        assert abs(constraint - case["constraint"]) <= 1e-12
+        expected = np.array([[complex(*z) for z in row] for row in case["gate"]])
+        assert np.max(np.abs(gate - expected)) <= 1e-12
+        assert family.evaluate(v) == (meas, constraint)
+
+
+def test_ancilla_objective_makes_one_lift_and_one_exponential(monkeypatch):
+    # perfbench traces these by name on focklift.nogo at call time; a family
+    # that bound them at construction would hide every call from it
+    calls = {"lift_unitary": 0, "exp_i_hermitian": 0}
+
+    def counting(name):
+        original = getattr(focklift.nogo, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    family = ancilla_family(4, 1)
+    for name in calls:
+        monkeypatch.setattr(focklift.nogo, name, counting(name))
+    x = np.random.default_rng(66).uniform(-math.pi, math.pi, 16)
+    family.evaluate(family.point(x))
+    assert calls == {"lift_unitary": 1, "exp_i_hermitian": 1}
+
+
+def test_oversize_ancilla_config_fails_before_building_tables(monkeypatch):
+    # the coupling mask of the top sector alone once took ~97 MB here
+    def refuse(*args):
+        raise AssertionError("coupling mask built before the lift size check")
+
+    monkeypatch.setattr(focklift.nogo, "_coupling_mask", refuse)
+    with pytest.raises(ResourceLimitError):
+        nogo_search_ancilla(SearchConfig(modes=3, ancilla_photons=137, restarts=1))
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (20260103, 25), (7, 500)])
+def test_task_rng_matches_spawned_streams(seed, n):
+    children = np.random.SeedSequence(seed).spawn(n)
+    for r in {0, 1, n - 1} & set(range(n)):
+        expected = np.random.default_rng(children[r]).uniform(size=8)
+        assert np.array_equal(_task_rng(seed, r).uniform(size=8), expected)
 
 
 def test_ancilla_constrained_certifies():
@@ -368,11 +434,11 @@ def _two_mode_point_eval(params):
 
 
 def _ancilla_point_eval(params, kind, cfg):
-    v = exp_i_hermitian(_ancilla_hermitian(np.array(params), cfg.modes))
+    family = _AncillaFamily(cfg)
+    v = family.point(np.array(params))
     if kind == "projected":
         v = _project_feasible(v)
-    meas, constraint, _ = _ancilla_eval(v, _AncillaFrame(cfg.modes, cfg.ancilla_photons))
-    return meas, constraint
+    return family.evaluate(v)
 
 
 @pytest.mark.parametrize("penalty_weight, seed, kind", [
