@@ -70,7 +70,8 @@ class CompositeGateParams:
     phases(alpha, beta) . mix(epsilon) . phases(gamma, delta).
 
     Angles are reduced to (-pi, pi] on construction; the reduction never
-    changes the gate beyond floating rounding.
+    changes the gate beyond floating rounding.  A non-finite angle fails
+    closed with InvalidInputError.
     """
 
     alpha: float
@@ -81,7 +82,10 @@ class CompositeGateParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta", "epsilon"):
-            object.__setattr__(self, name, _reduce_angle(getattr(self, name)))
+            angle = float(getattr(self, name))
+            if not math.isfinite(angle):
+                raise InvalidInputError(f"{name} must be a finite angle, got {angle}")
+            object.__setattr__(self, name, _reduce_angle(angle))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)

@@ -21,6 +21,12 @@ feasible points and can only under-report the certificate.
 The ancilla certificate at the 1e-10 tolerance comes from projected
 candidates, which entangle nothing by construction: no optimizer endpoint
 of the packaged m3 and m4_ancilla runs has met that tolerance.
+
+scipy's ``minimize`` is imported on first use, not with the module:
+``scipy.optimize`` takes about half a second to import, and only the
+searches call it, so ``import focklift`` and the lift, netlist and sweep
+paths load numpy alone.  It stays the module attribute ``minimize``, read
+at call time, so a caller may replace it.
 """
 from __future__ import annotations
 
@@ -31,7 +37,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidInputError
 from .fock import LiftedUnitary, _check_lift_size, basis_enumerate, lift_unitary
@@ -302,6 +307,20 @@ class SearchResult:
 _Candidate = tuple[str, list[float], float, float]
 
 
+def __getattr__(name: str):
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+    globals()["minimize"] = minimize
+    return minimize
+
+
+def _minimize():
+    """``minimize`` as it stands now: scipy's, loaded on first use, or the
+    function that replaced it."""
+    return globals().get("minimize") or __getattr__("minimize")
+
+
 def _penalty_levels(cfg: SearchConfig) -> list[float]:
     if cfg.penalty_weight == 0:
         return [0.0]
@@ -323,7 +342,7 @@ def _restart(args: tuple) -> list[_Candidate]:
         meas, constraint = family.evaluate(family.point(x))
         return -(meas - mu * constraint)
 
-    res = minimize(
+    res = _minimize()(
         objective,
         x0,
         method="Nelder-Mead",
@@ -383,6 +402,7 @@ def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
     constrained = cfg.penalty_weight > 0
     tasks = [(family, cfg, r, levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)])
              for r in range(cfg.restarts)]
+    _minimize()  # load scipy here once, not in every forked worker
     per_restart = _run_restarts(_restart, tasks, jobs)
     trace = [{"restart": r, "mu": tasks[r][3], "measure": end[2], "leakage": end[3],
               f"{family.kind}_measure": feas[2], f"{family.kind}_leakage": feas[3]}

@@ -49,11 +49,26 @@ BASIS_SIX: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)
 _LEAK_ENTRIES = ((3, 4), (3, 5), (4, 3), (5, 3))
 
 # 6-dim computational indices reordered to qubit order 2*n1 + n2
-_QUBIT_PERM = (0, 2, 1, 3)
+_QUBIT_BLOCK = np.ix_((0, 2, 1, 3), (0, 2, 1, 3))
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+# flat 4 x 4 gate indices of the reshuffles R[(r1,c1),(r2,c2)] of the gate,
+# g[(r1,r2),(c1,c2)], and of its SWAP twin, g[(r2,r1),(c1,c2)]
+_RESHUFFLES = np.stack([np.arange(16).reshape(2, 2, 2, 2).transpose(axes)
+                        for axes in ((0, 2, 1, 3), (1, 2, 0, 3))]).reshape(2, 4, 4)
+
+
+def _finite_gate(gate: np.ndarray, dim: int) -> np.ndarray:
+    """gate as a complex dim x dim array; non-finite entries fail closed."""
+    gate = np.asarray(gate, dtype=complex)
+    if gate.shape != (dim, dim):
+        raise InvalidInputError(f"expected a {dim} x {dim} gate, got {gate.shape}")
+    if not np.isfinite(gate).all():
+        raise InvalidInputError("gate has a non-finite entry")
+    return gate
 
 
 def composite_gate_fock(params: CompositeGateParams) -> np.ndarray:
@@ -122,9 +137,7 @@ def leakage(gate: np.ndarray, listing_tol: float = 1e-12) -> LeakageReport:
     For the composite gate this equals sqrt(2) * |sin(2 eps)|, which vanishes
     exactly when eps is a multiple of pi/2.
     """
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (6, 6):
-        raise InvalidInputError(f"expected a 6 x 6 gate, got {gate.shape}")
+    gate = _finite_gate(gate, 6)
     total = 0.0
     offending = []
     for r, c in _LEAK_ENTRIES:
@@ -176,10 +189,7 @@ def decoupled_form_odd(n: int, alpha: float, beta: float, gamma: float, delta: f
 
 def computational_block(gate: np.ndarray) -> np.ndarray:
     """Raw 4 x 4 computational block in qubit order 2*n1 + n2 (no projection)."""
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (6, 6):
-        raise InvalidInputError(f"expected a 6 x 6 gate, got {gate.shape}")
-    return gate[np.ix_(_QUBIT_PERM, _QUBIT_PERM)]
+    return _finite_gate(gate, 6)[_QUBIT_BLOCK]
 
 
 def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
@@ -202,7 +212,7 @@ def extract_computational(gate: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     projection moves it by O(tol) at most.
     """
     rep = leakage(gate)
-    if rep.frobenius_leakage > tol:
+    if not rep.frobenius_leakage <= tol:
         raise LeakyGateError(
             f"gate couples to bunched states: leakage {rep.frobenius_leakage:.3e} > {tol:.1e}"
         )
@@ -215,10 +225,7 @@ def operator_schmidt_values(gate: np.ndarray) -> np.ndarray:
     Singular values of the reshuffled matrix R[(r1,c1),(r2,c2)] =
     g[(r1,r2),(c1,c2)]; their squares sum to ||g||_F^2 = 4 for unitary g.
     """
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (4, 4):
-        raise InvalidInputError(f"expected a 4 x 4 gate, got {gate.shape}")
-    r = gate.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    r = _finite_gate(gate, 4).reshape(16)[_RESHUFFLES[0]]
     return np.linalg.svd(r, compute_uv=False)
 
 
@@ -230,9 +237,8 @@ def entangling_measure(gate: np.ndarray) -> float:
     is the top operator-Schmidt coefficient.  Invariant under local
     unitaries on either side; CNOT scores 1/2.
     """
-    gate = np.asarray(gate, dtype=complex)
-    s_direct = operator_schmidt_values(gate)[0]
-    s_swapped = operator_schmidt_values(SWAP @ gate)[0]
+    pair = _finite_gate(gate, 4).reshape(16)[_RESHUFFLES]
+    s_direct, s_swapped = np.linalg.svd(pair, compute_uv=False)[:, 0]
     raw = min(1.0 - (s_direct * s_direct) / 4.0, 1.0 - (s_swapped * s_swapped) / 4.0)
     return max(0.0, float(raw))
 

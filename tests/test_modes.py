@@ -65,6 +65,15 @@ def test_params_reduce_angles_without_changing_the_gate():
     assert -math.pi < CompositeGateParams(math.pi, 0, 0, 0, 0).alpha <= math.pi
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(5))
+def test_params_reject_non_finite_angles(slot, bad):
+    angles = [0.1, 0.2, 0.3, 0.4, 0.5]
+    angles[slot] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        CompositeGateParams(*angles)
+
+
 # ---------------------------------------------------------------------------
 # optical elements
 # ---------------------------------------------------------------------------

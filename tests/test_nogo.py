@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from focklift.nogo import (
     _AncillaFamily,
     _penalty_levels,
     _project_feasible,
+    _restart,
     _task_rng,
+    _TwoModeFamily,
     AncillaCheckReport,
     block_diagonality_defect,
     block_lemma_check,
@@ -275,6 +279,43 @@ def test_two_mode_search_is_deterministic_and_jobs_invariant():
 def test_two_mode_rejects_other_mode_counts():
     with pytest.raises(InvalidInputError):
         nogo_search_two_mode(SearchConfig(modes=3))
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["before-first-load", "after-first-load"])
+def test_search_calls_the_minimize_that_replaced_it(monkeypatch, loaded):
+    from scipy.optimize import minimize as scipy_minimize
+
+    namespace = vars(focklift.nogo)
+    if loaded:
+        assert focklift.nogo.minimize is scipy_minimize
+    else:
+        monkeypatch.delitem(namespace, "minimize", raising=False)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return scipy_minimize(*args, **kwargs)
+
+    # setitem, not setattr: reading the old attribute would load it
+    monkeypatch.setitem(namespace, "minimize", counting)
+    cfg = SearchConfig(modes=2, restarts=3, max_iterations=40, seed=54)
+    nogo_search_two_mode(cfg)
+    assert calls == ["Nelder-Mead"] * cfg.restarts
+
+
+def test_restart_loads_minimize_in_a_fresh_worker():
+    args = (_TwoModeFamily(), SearchConfig(modes=2, restarts=1, max_iterations=40, seed=55),
+            0, 10.0)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        fresh = pool.submit(_restart, args).result(timeout=300)
+    assert fresh == _restart(args)
+
+
+def test_unknown_nogo_attribute_is_still_an_attribute_error():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        focklift.nogo.nonexistent
+    assert not hasattr(focklift.nogo, "nonexistent")
 
 
 def test_search_result_timing_switch():

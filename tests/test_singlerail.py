@@ -103,6 +103,21 @@ def test_leakage_report_entries():
     assert clean.frobenius_leakage == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("fn, dim", [
+    (leakage, 6), (computational_block, 6), (extract_computational, 6),
+    (nearest_unitary_block, 6), (operator_schmidt_values, 4), (entangling_measure, 4),
+], ids=["leakage", "computational_block", "extract_computational",
+        "nearest_unitary_block", "operator_schmidt_values", "entangling_measure"])
+def test_non_finite_gates_fail_closed(fn, dim, bad):
+    # on a 6 x 6 gate the bad entry sits on a bunched coupling, |11> -> |20>
+    gate = np.eye(dim, dtype=complex)
+    gate[(3, 4) if dim == 6 else (1, 2)] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        fn(gate)
+
+
 def test_leakage_validates_shape():
     with pytest.raises(InvalidInputError):
         leakage(np.eye(4))
@@ -194,6 +209,19 @@ def test_operator_schmidt_values_known_cases():
     assert np.max(np.abs(vals[1:])) < 1e-12
     vals = operator_schmidt_values(CNOT)
     assert np.max(np.abs(vals - [math.sqrt(2), math.sqrt(2), 0, 0])) < 1e-12
+
+
+def test_entangling_measure_matches_two_separate_decompositions():
+    # reference: top Schmidt values of the gate and of SWAP . gate, one SVD each
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        g = (haar_random_unitary(4, rng) if i % 2
+             else rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        s_direct = operator_schmidt_values(g)[0]
+        s_swapped = operator_schmidt_values(SWAP @ g)[0]
+        ref = max(0.0, float(min(1.0 - (s_direct * s_direct) / 4.0,
+                                 1.0 - (s_swapped * s_swapped) / 4.0)))
+        assert entangling_measure(g) == ref
 
 
 def test_entangling_measure_pinned_values():
