@@ -36,8 +36,7 @@ from . import __version__, nogo
 from .errors import InvalidInputError, ResourceLimitError
 from .fock import lift_unitary, lifted_to_csv, lifted_to_jsonable
 from .linalg import haar_random_unitary, require_unitary
-from .modes import CompositeGateParams, elements_to_jsonable, reck_decompose, recompose
-from .singlerail import leakage_and_measure
+from .modes import elements_to_jsonable, reck_decompose, recompose
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -180,14 +179,14 @@ def _source_unitary(ns) -> tuple[np.ndarray, dict, int | None]:
 # ---------------------------------------------------------------------------
 
 def _sweep_task(args: tuple) -> tuple[float, float, float]:
+    """(eps, leakage at zero phases, best measure over random phases), all
+    rows scored in one stacked call."""
     eps, samples, seed, index = args
-    rng = nogo._task_rng(seed, index)
-    leak = leakage_and_measure(CompositeGateParams(0.0, 0.0, 0.0, 0.0, eps))[0]
-    best = 0.0
-    for _ in range(samples):
-        a, b, g, d = rng.uniform(-math.pi, math.pi, size=4)
-        best = max(best, leakage_and_measure(CompositeGateParams(a, b, g, d, eps))[1])
-    return eps, leak, best
+    angles = np.full((samples + 1, 5), eps)
+    angles[0, :4] = 0.0
+    angles[1:, :4] = nogo._task_rng(seed, index).uniform(-math.pi, math.pi, size=(samples, 4))
+    measure, leak = nogo._TwoModeFamily().scores(angles).T
+    return eps, float(leak[0]), float(measure[1:].max())
 
 
 def cmd_sweep(ns) -> int:

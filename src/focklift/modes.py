@@ -7,6 +7,7 @@ modes, columns input modes, matching the lift orientation in ``fock``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +30,25 @@ __all__ = [
 
 _TAU = 2.0 * math.pi
 _QUARTER_TURN = math.pi / 2
+# (sin, cos) at the quarter turns q = 0, 1, 2, 3 (mod 4)
+_LATTICE = np.array([(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)])
 
 
-def exact_sin_cos(angle: float) -> tuple[float, float]:
-    """(sin, cos) with exact values on float multiples of pi/2.
+def exact_sin_cos(angle):
+    """(sin, cos) with exact values on float multiples of pi/2, elementwise.
 
     A float equal to q*(pi/2) stands for a quarter turn, so it gets the
     exact lattice values instead of ~1e-16 trig residue.  This is what
     makes decoupling points land at literal zero leakage downstream.
+    Takes a float or an array of finite angles.
     """
-    q = round(angle / _QUARTER_TURN)
-    if angle == q * _QUARTER_TURN:
-        return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[q % 4]
-    return math.sin(angle), math.cos(angle)
+    angle = np.asarray(angle, dtype=float)
+    q = np.rint(angle / _QUARTER_TURN)
+    sin_cos = _LATTICE[np.mod(q, 4).astype(np.intp)]
+    on_lattice = angle == q * _QUARTER_TURN
+    s = np.where(on_lattice, sin_cos[..., 0], np.sin(angle))
+    c = np.where(on_lattice, sin_cos[..., 1], np.cos(angle))
+    return s[()], c[()]
 
 
 def generator_xyz() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,10 +65,23 @@ def generator_xyz() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, z
 
 
-def _reduce_angle(a: float) -> float:
-    """Reduce an angle to the canonical range (-pi, pi]."""
-    r = math.remainder(float(a), _TAU)
-    return math.pi if r == -math.pi else r
+def _reduce_angles(angles: np.ndarray) -> np.ndarray:
+    """Reduce finite angles to (-pi, pi] exactly: fmod is exact, and so is
+    the shift by 2pi of a result beyond +-pi (Sterbenz's lemma)."""
+    r = np.fmod(angles, _TAU)
+    r = np.where(r > math.pi, r - _TAU, r)
+    r = np.where(r < -math.pi, r + _TAU, r)
+    return np.where(r == -math.pi, math.pi, r)
+
+
+def _angle(value, name: str) -> float:
+    """value as a float; booleans, non-numbers and non-finite values fail closed."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise InvalidInputError(f"{name} must be a finite angle, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +101,10 @@ class CompositeGateParams:
     epsilon: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "epsilon"):
-            angle = float(getattr(self, name))
-            if not math.isfinite(angle):
-                raise InvalidInputError(f"{name} must be a finite angle, got {angle}")
-            object.__setattr__(self, name, _reduce_angle(angle))
+        names = ("alpha", "beta", "gamma", "delta", "epsilon")
+        angles = np.array([_angle(getattr(self, name), name) for name in names])
+        for name, angle in zip(names, _reduce_angles(angles)):
+            object.__setattr__(self, name, float(angle))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
@@ -93,7 +112,7 @@ class CompositeGateParams:
 
 def beam_splitter(epsilon: float) -> np.ndarray:
     """Two-mode mixer exp(i*eps*(a2+a1 + a1+a2)) at the mode level."""
-    s, c = exact_sin_cos(epsilon)
+    s, c = exact_sin_cos(_angle(epsilon, "epsilon"))
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
@@ -117,7 +136,8 @@ class OpticalElement:
     identity with e^{i lam} at mode m.  kind "beam-splitter": modes = (p, q),
     angles = (theta, phi), matrix embeds
     [[e^{i phi} cos th, i sin th], [i e^{i phi} sin th, cos th]] on (p, q).
-    Mode indices are 0-based.
+    Mode indices are 0-based integers and angles finite numbers (booleans
+    are neither); anything else fails closed.
     """
 
     kind: str
@@ -125,6 +145,10 @@ class OpticalElement:
     angles: tuple[float, ...]
 
     def __post_init__(self):
+        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in self.modes):
+            raise InvalidInputError(f"mode indices must be integers, got {self.modes!r}")
+        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+        object.__setattr__(self, "angles", tuple(_angle(a, "element angle") for a in self.angles))
         if self.kind == "phase-shifter":
             if len(self.modes) != 1 or len(self.angles) != 1:
                 raise InvalidInputError("phase-shifter takes one mode and one angle")
@@ -222,10 +246,10 @@ def elements_from_jsonable(data: list[dict]) -> list[OpticalElement]:
             out.append(
                 OpticalElement(
                     kind=entry["kind"],
-                    modes=tuple(int(x) for x in entry["modes"]),
-                    angles=tuple(float(x) for x in entry["angles"]),
+                    modes=tuple(entry["modes"]),
+                    angles=tuple(entry["angles"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed netlist entry {entry!r}") from exc
     return out

@@ -12,21 +12,22 @@ entangling measure of the induced two-qubit action:
   the top photon sector, and the failure of outputs to factor into a
   computational part times a fixed ancilla state.
 
-Each family supplies a start point, the map to a point, its (measure,
-constraint) and a snapped or projected candidate on the exactly feasible
-manifold; ``_search`` owns the penalty ladder, restarts, trace and
+Each family supplies a start point, the (measure, constraint) rows of a
+stack of points and a snapped or projected candidate on the exactly
+feasible manifold; ``_search`` owns the penalty ladder, restarts, trace and
 selection, so the reported constrained optimum is a max over genuinely
 feasible points and can only under-report the certificate.
+
+The optimizer is an in-package adaptive Nelder-Mead written as a
+generator, so the restarts of a search advance together and every step
+scores all their pending points in one call on a stack: the two-mode
+family scores the stack at once, the ancilla family point by point.  A
+restart's path does not depend on the restarts it is stacked with, and
+its trace entry records the evaluations, iterations and stop status.
 
 The ancilla certificate at the 1e-10 tolerance comes from projected
 candidates, which entangle nothing by construction: no optimizer endpoint
 of the packaged m3 and m4_ancilla runs has met that tolerance.
-
-scipy's ``minimize`` is imported on first use, not with the module:
-``scipy.optimize`` takes about half a second to import, and only the
-searches call it, so ``import focklift`` and the lift, netlist and sweep
-paths load numpy alone.  It stays the module attribute ``minimize``, read
-at call time, so a caller may replace it.
 """
 from __future__ import annotations
 
@@ -41,13 +42,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .fock import LiftedUnitary, _check_lift_size, basis_enumerate, lift_unitary
 from .linalg import exp_i_hermitian, require_unitary
-from .modes import CompositeGateParams
-from .singlerail import (
-    composite_gate_fock,
-    entangling_measure,
-    leakage,
-    nearest_unitary_block,
-)
+from .modes import _reduce_angles
+from .singlerail import _composite_gates, _couplings, entangling_measure, nearest_unitary_block
 
 __all__ = [
     "SearchConfig",
@@ -307,20 +303,6 @@ class SearchResult:
 _Candidate = tuple[str, list[float], float, float]
 
 
-def __getattr__(name: str):
-    if name != "minimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.optimize import minimize
-    globals()["minimize"] = minimize
-    return minimize
-
-
-def _minimize():
-    """``minimize`` as it stands now: scipy's, loaded on first use, or the
-    function that replaced it."""
-    return globals().get("minimize") or __getattr__("minimize")
-
-
 def _penalty_levels(cfg: SearchConfig) -> list[float]:
     if cfg.penalty_weight == 0:
         return [0.0]
@@ -332,32 +314,117 @@ def _penalty_levels(cfg: SearchConfig) -> list[float]:
     return levels
 
 
-def _restart(args: tuple) -> list[_Candidate]:
-    """One Nelder-Mead run of measure - mu * constraint from the family's
-    start point; returns the endpoint and the family's feasible candidate."""
-    family, cfg, r, mu = args
-    x0 = family.start(_task_rng(cfg.seed, r))
+class _EvaluationCap(Exception):
+    """The evaluation budget ran out before the next objective call."""
 
-    def objective(x: np.ndarray) -> float:
-        meas, constraint = family.evaluate(family.point(x))
-        return -(meas - mu * constraint)
 
-    res = _minimize()(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": cfg.max_iterations,
-            "maxfev": 4 * cfg.max_iterations,
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-            "adaptive": True,
-        },
-    )
-    end = family.point(res.x)
-    endpoint = ("endpoint", [float(t) for t in res.x], *family.evaluate(end))
-    params, point = family.feasible(res.x, end)
-    return [endpoint, (family.kind, [float(t) for t in params], *family.evaluate(point))]
+def _nelder_mead(x0: np.ndarray, maxiter: int, maxfev: int,
+                 xatol: float = 1e-12, fatol: float = 1e-14):
+    """Adaptive Nelder-Mead (Gao & Han 2012) as a generator: ``fx = yield x``
+    asks for the objective at x, and it returns (x, nfev, nit, status), status
+    0 converged, 1 evaluation cap, 2 iteration cap.  A step-for-step port of
+    the adaptive branch of ``optimize._minimize_neldermead`` 1.17 with its
+    default initial simplex and rho = 1 folded in: the tests require the same
+    x, nfev, nit and status, caps reached part-way through a step included.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCap
+        nfev += 1
+        return (yield x)
+
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from f(sim[k])
+    except _EvaluationCap:
+        pass
+    for _ in range(2):  # argsort is not stable: sorted twice, as in the source
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = yield from f(xr)
+            if fxr < fsim[0]:  # expand
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = yield from f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside, or inside; shrink when that fails
+                if fxr < fsim[-1]:
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = yield from f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = yield from f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = yield from f(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    status = 1 if nfev >= maxfev else 2 if iterations >= maxiter else 0
+    return sim[0], nfev, iterations, status
+
+
+def _run_chunk(args: tuple) -> list[tuple[dict, list[_Candidate]]]:
+    """Nelder-Mead runs of measure - mu * constraint for restarts lo..hi-1,
+    advanced together: each step scores the pending points of all runs in
+    one family.scores call on their stack, and each run sees only its own
+    values.  Per restart, its trace entry and candidates (endpoint and
+    feasible point)."""
+    family, cfg, mus, lo, hi = args
+    runs = {r: _nelder_mead(family.start(_task_rng(cfg.seed, r)), cfg.max_iterations,
+                            4 * cfg.max_iterations) for r in range(lo, hi)}
+    results, points = {}, {}
+
+    def advance(r, fx):
+        try:
+            points[r] = runs[r].send(fx)
+        except StopIteration as stop:
+            results[r] = stop.value
+            points.pop(r, None)
+
+    for r in runs:
+        advance(r, None)
+    while points:
+        pending = list(points)
+        scores = family.scores(np.array([points[r] for r in pending]))
+        mu = np.array([mus[r] for r in pending])
+        for r, fx in zip(pending, -(scores[:, 0] - mu * scores[:, 1])):
+            advance(r, fx)
+    ends = np.array([results[r][0] for r in runs])
+    params, feasible = family.feasible(ends)
+    out = []
+    for r, end, p, feas in zip(runs, family.scores(ends).tolist(), params, feasible.tolist()):
+        x, nfev, nit, status = results[r]
+        entry = {"restart": r, "mu": mus[r], "measure": end[0], "leakage": end[1],
+                 f"{family.kind}_measure": feas[0], f"{family.kind}_leakage": feas[1],
+                 "nfev": nfev, "nit": nit, "status": status}
+        out.append((entry, [("endpoint", x.tolist(), *end), (family.kind, p.tolist(), *feas)]))
+    return out
 
 
 def _task_rng(seed: int, index: int) -> np.random.Generator:
@@ -393,29 +460,30 @@ def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
     """Spread the penalty ladder across cfg.restarts restarts of a family
     and report the best candidate with a per-restart trace.
 
-    jobs > 1 spreads restarts over processes; results are identical to the
-    serial run because every restart derives its generator from the same
-    spawned seed stream and aggregation is restart-ordered.
+    jobs > 1 splits the restarts into contiguous chunks, one process each;
+    results are identical to the serial run because every restart derives
+    its generator from the same spawned seed stream, follows its own
+    Nelder-Mead path whatever it is stacked with, and aggregation is
+    restart-ordered.
     """
     start = time.perf_counter()
     levels = _penalty_levels(cfg)
     constrained = cfg.penalty_weight > 0
-    tasks = [(family, cfg, r, levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)])
-             for r in range(cfg.restarts)]
-    _minimize()  # load scipy here once, not in every forked worker
-    per_restart = _run_restarts(_restart, tasks, jobs)
-    trace = [{"restart": r, "mu": tasks[r][3], "measure": end[2], "leakage": end[3],
-              f"{family.kind}_measure": feas[2], f"{family.kind}_leakage": feas[3]}
-             for r, (end, feas) in enumerate(per_restart)]
+    mus = [levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
+           for r in range(cfg.restarts)]
+    jobs = min(jobs, cfg.restarts)
+    bounds = [cfg.restarts * j // jobs for j in range(jobs + 1)]
+    chunks = [(family, cfg, mus, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    per_restart = [r for chunk in _run_restarts(_run_chunk, chunks, jobs) for r in chunk]
     (kind, params, meas, leak), feasible = _select_best(
-        [c for cands in per_restart for c in cands], constrained, cfg.leakage_tolerance)
+        [c for _, cands in per_restart for c in cands], constrained, cfg.leakage_tolerance)
     return SearchResult(
         constrained=constrained,
         best_entangling_measure=meas,
         best_leakage=leak,
         best_parameters=params,
         best_candidate=kind,
-        restart_trace=trace,
+        restart_trace=[entry for entry, _ in per_restart],
         feasible=feasible,
         wall_time=time.perf_counter() - start,
     )
@@ -438,18 +506,19 @@ class _TwoModeFamily:
             x[4] = rng.uniform(-math.pi, math.pi)
         return x
 
-    def point(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def scores(self, xs: np.ndarray) -> np.ndarray:
+        """(measure, leakage) rows of an (L, 5) stack of angles, each row
+        as the single-gate functions give it for its gate alone."""
+        gates = _composite_gates(_reduce_angles(xs))
+        # read at call time from this module, so a replacement here is
+        # honoured, and broadcast, so it may return a scalar
+        measure = np.broadcast_to(entangling_measure(nearest_unitary_block(gates)), len(xs))
+        return np.column_stack([measure, _couplings(gates)[1]])
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
-        gate = composite_gate_fock(CompositeGateParams(*[float(t) for t in x]))
-        leak = leakage(gate).frobenius_leakage
-        return entangling_measure(nearest_unitary_block(gate)), leak
-
-    def feasible(self, x: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        snapped = np.array(x, dtype=float)
-        snapped[4] = round(snapped[4] / (math.pi / 2.0)) * (math.pi / 2.0)
-        return snapped, snapped
+    def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        snapped = np.array(xs, dtype=float)
+        snapped[:, 4] = [round(e / (math.pi / 2.0)) * (math.pi / 2.0) for e in snapped[:, 4]]
+        return snapped, self.scores(snapped)
 
 
 def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
@@ -545,6 +614,11 @@ class _AncillaFamily:
         h[self.gen_rows, self.gen_cols] = entries
         return exp_i_hermitian(h)
 
+    def scores(self, xs: np.ndarray) -> np.ndarray:
+        """(measure, constraint) rows of an (L, M^2) stack of generators,
+        one point at a time."""
+        return np.array([self.evaluate(self.point(x)) for x in xs])
+
     def evaluate(self, v: np.ndarray) -> tuple[float, float]:
         return self.evaluate_gate(v)[:2]
 
@@ -573,8 +647,8 @@ class _AncillaFamily:
         u, _, vh = np.linalg.svd(gate)
         return entangling_measure(u @ vh), leak + residual + math.sqrt(defect_sq), gate
 
-    def feasible(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x, _project_feasible(v)
+    def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return xs, np.array([self.evaluate(_project_feasible(self.point(x))) for x in xs])
 
 
 def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:

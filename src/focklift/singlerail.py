@@ -47,9 +47,10 @@ BASIS_SIX: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)
 
 # bunched couplings: |11> (index 3) against |20>, |02> (indices 4, 5)
 _LEAK_ENTRIES = ((3, 4), (3, 5), (4, 3), (5, 3))
+_LEAK_ROWS, _LEAK_COLS = np.array(_LEAK_ENTRIES).T
 
 # 6-dim computational indices reordered to qubit order 2*n1 + n2
-_QUBIT_BLOCK = np.ix_((0, 2, 1, 3), (0, 2, 1, 3))
+_QUBIT_ORDER = np.array((0, 2, 1, 3))
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -61,10 +62,11 @@ _RESHUFFLES = np.stack([np.arange(16).reshape(2, 2, 2, 2).transpose(axes)
                         for axes in ((0, 2, 1, 3), (1, 2, 0, 3))]).reshape(2, 4, 4)
 
 
-def _finite_gate(gate: np.ndarray, dim: int) -> np.ndarray:
-    """gate as a complex dim x dim array; non-finite entries fail closed."""
+def _finite_gate(gate: np.ndarray, dim: int, stack: bool = False) -> np.ndarray:
+    """gate as a complex dim x dim array, or with stack=True also an
+    (L, dim, dim) stack; non-finite entries fail closed."""
     gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (dim, dim):
+    if gate.ndim not in ((2, 3) if stack else (2,)) or gate.shape[-2:] != (dim, dim):
         raise InvalidInputError(f"expected a {dim} x {dim} gate, got {gate.shape}")
     if not np.isfinite(gate).all():
         raise InvalidInputError("gate has a non-finite entry")
@@ -80,26 +82,32 @@ def composite_gate_fock(params: CompositeGateParams) -> np.ndarray:
     whose |11> <-> bunched couplings carry i*sin(2 eps)/sqrt(2).  Equals the
     permanent lift of the mode matrix entrywise.
     """
-    a, b, g, d, e = params.as_tuple()
+    return _composite_gates(np.array([params.as_tuple()]))[0]
+
+
+def _composite_gates(angles: np.ndarray) -> np.ndarray:
+    """(L, 6, 6) composite gates of an (L, 5) stack of angles (alpha, beta,
+    gamma, delta, epsilon) in the range CompositeGateParams reduces to."""
+    a, b, g, d, e = angles.T
     s, c = exact_sin_cos(e)
     # double angles as products so quarter-turn zeros stay literal
     s2, c2 = 2.0 * s * c, c * c - s * s
     ph = np.exp
-    u = np.zeros((6, 6), dtype=complex)
-    u[0, 0] = 1.0
-    u[1, 1] = ph(1j * (a + g)) * c
-    u[1, 2] = 1j * ph(1j * (a + d)) * s
-    u[2, 1] = 1j * ph(1j * (b + g)) * s
-    u[2, 2] = ph(1j * (b + d)) * c
-    u[3, 3] = ph(1j * (a + b + g + d)) * c2
-    u[3, 4] = 1j * ph(1j * (a + b + 2 * g)) * s2 / math.sqrt(2)
-    u[3, 5] = 1j * ph(1j * (a + b + 2 * d)) * s2 / math.sqrt(2)
-    u[4, 3] = 1j * ph(1j * (2 * a + g + d)) * s2 / math.sqrt(2)
-    u[5, 3] = 1j * ph(1j * (2 * b + g + d)) * s2 / math.sqrt(2)
-    u[4, 4] = ph(2j * (a + g)) * c * c
-    u[4, 5] = -ph(2j * (a + d)) * s * s
-    u[5, 4] = -ph(2j * (b + g)) * s * s
-    u[5, 5] = ph(2j * (b + d)) * c * c
+    u = np.zeros((len(angles), 6, 6), dtype=complex)
+    u[:, 0, 0] = 1.0
+    u[:, 1, 1] = ph(1j * (a + g)) * c
+    u[:, 1, 2] = 1j * ph(1j * (a + d)) * s
+    u[:, 2, 1] = 1j * ph(1j * (b + g)) * s
+    u[:, 2, 2] = ph(1j * (b + d)) * c
+    u[:, 3, 3] = ph(1j * (a + b + g + d)) * c2
+    u[:, 3, 4] = 1j * ph(1j * (a + b + 2 * g)) * s2 / math.sqrt(2)
+    u[:, 3, 5] = 1j * ph(1j * (a + b + 2 * d)) * s2 / math.sqrt(2)
+    u[:, 4, 3] = 1j * ph(1j * (2 * a + g + d)) * s2 / math.sqrt(2)
+    u[:, 5, 3] = 1j * ph(1j * (2 * b + g + d)) * s2 / math.sqrt(2)
+    u[:, 4, 4] = ph(2j * (a + g)) * c * c
+    u[:, 4, 5] = -ph(2j * (a + d)) * s * s
+    u[:, 5, 4] = -ph(2j * (b + g)) * s * s
+    u[:, 5, 5] = ph(2j * (b + d)) * c * c
     return u
 
 
@@ -137,15 +145,20 @@ def leakage(gate: np.ndarray, listing_tol: float = 1e-12) -> LeakageReport:
     For the composite gate this equals sqrt(2) * |sin(2 eps)|, which vanishes
     exactly when eps is a multiple of pi/2.
     """
-    gate = _finite_gate(gate, 6)
-    total = 0.0
-    offending = []
-    for r, c in _LEAK_ENTRIES:
-        mag = abs(gate[r, c])
-        total += mag * mag
-        if mag > listing_tol:
-            offending.append((r, c, float(mag)))
-    return LeakageReport(frobenius_leakage=math.sqrt(total), offending=tuple(offending))
+    mags, total = _couplings(_finite_gate(gate, 6)[np.newaxis])
+    offending = tuple((r, c, float(mag)) for (r, c), mag in zip(_LEAK_ENTRIES, mags[0])
+                      if mag > listing_tol)
+    return LeakageReport(frobenius_leakage=float(total[0]), offending=offending)
+
+
+def _couplings(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 4) magnitudes of the bunched couplings of an (L, 6, 6) stack and
+    their (L,) Frobenius norms.  np.hypot is scalar abs() bit for bit (np.abs
+    on complex entries is not), and the squares add in _LEAK_ENTRIES order."""
+    entries = gates[:, _LEAK_ROWS, _LEAK_COLS]
+    mags = np.hypot(entries.real, entries.imag)
+    sq = mags * mags
+    return mags, np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
 
 
 def decoupled_form_even(n: int, alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
@@ -188,8 +201,9 @@ def decoupled_form_odd(n: int, alpha: float, beta: float, gamma: float, delta: f
 
 
 def computational_block(gate: np.ndarray) -> np.ndarray:
-    """Raw 4 x 4 computational block in qubit order 2*n1 + n2 (no projection)."""
-    return _finite_gate(gate, 6)[_QUBIT_BLOCK]
+    """Raw 4 x 4 computational block in qubit order 2*n1 + n2 (no projection);
+    an (L, 6, 6) stack gives an (L, 4, 4) stack."""
+    return _finite_gate(gate, 6, stack=True)[..., _QUBIT_ORDER[:, np.newaxis], _QUBIT_ORDER]
 
 
 def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
@@ -197,10 +211,10 @@ def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
 
     Diagnostic companion to ``extract_computational`` for sweeps over leaky
     parameter regions; rank-deficient blocks (isolated points such as
-    eps = pi/4) resolve through the SVD factors.
+    eps = pi/4) resolve through the SVD factors.  An (L, 6, 6) stack gives
+    an (L, 4, 4) stack, each entry as for its gate alone.
     """
-    block = computational_block(gate)
-    u, _, vh = np.linalg.svd(block)
+    u, _, vh = np.linalg.svd(computational_block(gate))
     return u @ vh
 
 
@@ -229,22 +243,25 @@ def operator_schmidt_values(gate: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False)
 
 
-def entangling_measure(gate: np.ndarray) -> float:
+def entangling_measure(gate: np.ndarray):
     """Entangling power proxy in [0, 3/4], zero iff the gate is A (x) B or
     SWAP . (A (x) B).
 
     min over the gate and its SWAP twin of 1 - sigma_1^2 / 4, where sigma_1
     is the top operator-Schmidt coefficient.  Invariant under local
-    unitaries on either side; CNOT scores 1/2.
+    unitaries on either side; CNOT scores 1/2.  A 4 x 4 gate gives a float,
+    an (L, 4, 4) stack an (L,) array, each entry as for its gate alone.
     """
-    pair = _finite_gate(gate, 4).reshape(16)[_RESHUFFLES]
-    s_direct, s_swapped = np.linalg.svd(pair, compute_uv=False)[:, 0]
-    raw = min(1.0 - (s_direct * s_direct) / 4.0, 1.0 - (s_swapped * s_swapped) / 4.0)
-    return max(0.0, float(raw))
+    gate = _finite_gate(gate, 4, stack=True)
+    s_direct, s_swapped = np.linalg.svd(gate.reshape(-1, 16)[:, _RESHUFFLES],
+                                        compute_uv=False)[:, :, 0].T
+    raw = np.minimum(1.0 - (s_direct * s_direct) / 4.0, 1.0 - (s_swapped * s_swapped) / 4.0)
+    measure = np.maximum(0.0, raw)
+    return float(measure[0]) if gate.ndim == 2 else measure
 
 
 def leakage_and_measure(params: CompositeGateParams) -> tuple[float, float]:
-    """Convenience pair (leakage, lenient entangling measure) for sweeps."""
+    """Convenience pair (leakage, lenient entangling measure) of one composite gate."""
     gate = composite_gate_fock(params)
     rep = leakage(gate)
     measure = entangling_measure(nearest_unitary_block(gate))

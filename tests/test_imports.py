@@ -1,8 +1,9 @@
-"""The optimizer is loaded by the no-go searches alone.
+"""No focklift command loads scipy.optimize.
 
-scipy.optimize takes about half a second to import, so ``import focklift``
-and the lift, netlist and sweep commands must not load it.  Each check runs
-in a fresh interpreter, because this test process may have loaded it.
+The no-go searches run an in-package Nelder-Mead, and scipy.optimize takes
+about half a second to import, so neither ``import focklift`` nor any
+command may load it.  Each check runs in a fresh interpreter, because this
+test process may have loaded it.
 """
 
 import json
@@ -41,12 +42,15 @@ assert codes == [0, 0, 0], codes
     assert not optimizer_loaded(body, tmp_path)
 
 
-def test_nogo_search_loads_the_optimizer(tmp_path):
-    cfg = {"mode": "two_mode", "modes": 2, "restarts": 2, "max_iterations": 30, "seed": 1}
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+def test_nogo_search_leaves_the_optimizer_unloaded(tmp_path):
+    two_mode = {"mode": "two_mode", "modes": 2, "restarts": 2, "max_iterations": 30, "seed": 1}
+    ancilla = {"mode": "ancilla", "modes": 3, "restarts": 1, "max_iterations": 10, "seed": 1}
+    (tmp_path / "two_mode.json").write_text(json.dumps(two_mode))
+    (tmp_path / "ancilla.json").write_text(json.dumps(ancilla))
     body = """
 from focklift.cli import main
-code = main(["nogo", "--config", out + "/cfg.json", "--out", out + "/result.json"])
-assert code == 0, code
+for name in ("two_mode", "ancilla"):
+    code = main(["nogo", "--config", f"{out}/{name}.json", "--out", f"{out}/{name}.out.json"])
+    assert code == 0, (name, code)
 """
-    assert optimizer_loaded(body, tmp_path)
+    assert not optimizer_loaded(body, tmp_path)

@@ -91,6 +91,27 @@ def test_element_validation():
         OpticalElement("phase-shifter", (-1,), (0.5,))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: beam_splitter(math.nan),
+    lambda: beam_splitter(math.inf),
+    lambda: beam_splitter(True),
+    lambda: OpticalElement("phase-shifter", (0,), (math.nan,)),
+    lambda: OpticalElement("beam-splitter", (0, 1), (0.4, -math.inf)),
+    lambda: OpticalElement("phase-shifter", (0,), (False,)),
+    lambda: OpticalElement("phase-shifter", (0,), (10 ** 400,)),
+    lambda: OpticalElement("phase-shifter", (0.5,), (0.1,)),
+    lambda: OpticalElement("beam-splitter", (0, True), (0.4, 0.1)),
+    lambda: elements_from_jsonable([{"kind": "phase-shifter", "modes": [0], "angles": ["abc"]}]),
+    lambda: elements_from_jsonable([{"kind": "phase-shifter", "modes": [0.5], "angles": [0.1]}]),
+    lambda: elements_from_jsonable([{"kind": "phase-shifter", "modes": [True], "angles": [0.1]}]),
+], ids=["bs-nan", "bs-inf", "bs-bool", "ps-nan", "bs-angle-inf", "ps-bool-angle",
+        "ps-huge-int-angle", "fractional-mode", "bool-mode", "json-angle-abc",
+        "json-mode-0.5", "json-mode-true"])
+def test_malformed_angles_and_modes_fail_closed(make):
+    with pytest.raises(InvalidInputError):
+        make()
+
+
 def test_element_matrices_embed_correctly():
     ps = OpticalElement("phase-shifter", (1,), (0.7,))
     m = element_matrix(ps, 3)

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from focklift.nogo import (
     _AncillaFamily,
     _penalty_levels,
     _project_feasible,
-    _restart,
+    _run_chunk,
     _task_rng,
     _TwoModeFamily,
     AncillaCheckReport,
@@ -272,8 +273,10 @@ def test_two_mode_search_is_deterministic_and_jobs_invariant():
     a = nogo_search_two_mode(cfg).to_jsonable(include_timing=False)
     b = nogo_search_two_mode(cfg).to_jsonable(include_timing=False)
     c = nogo_search_two_mode(cfg, jobs=2).to_jsonable(include_timing=False)
+    d = nogo_search_two_mode(cfg, jobs=3).to_jsonable(include_timing=False)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
+    assert json.dumps(a, sort_keys=True) == json.dumps(d, sort_keys=True)
 
 
 def test_two_mode_rejects_other_mode_counts():
@@ -281,35 +284,13 @@ def test_two_mode_rejects_other_mode_counts():
         nogo_search_two_mode(SearchConfig(modes=3))
 
 
-@pytest.mark.parametrize("loaded", [False, True], ids=["before-first-load", "after-first-load"])
-def test_search_calls_the_minimize_that_replaced_it(monkeypatch, loaded):
-    from scipy.optimize import minimize as scipy_minimize
-
-    namespace = vars(focklift.nogo)
-    if loaded:
-        assert focklift.nogo.minimize is scipy_minimize
-    else:
-        monkeypatch.delitem(namespace, "minimize", raising=False)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("method"))
-        return scipy_minimize(*args, **kwargs)
-
-    # setitem, not setattr: reading the old attribute would load it
-    monkeypatch.setitem(namespace, "minimize", counting)
-    cfg = SearchConfig(modes=2, restarts=3, max_iterations=40, seed=54)
-    nogo_search_two_mode(cfg)
-    assert calls == ["Nelder-Mead"] * cfg.restarts
-
-
-def test_restart_loads_minimize_in_a_fresh_worker():
-    args = (_TwoModeFamily(), SearchConfig(modes=2, restarts=1, max_iterations=40, seed=55),
-            0, 10.0)
+def test_chunk_in_a_fresh_worker_matches_in_process():
+    args = (_TwoModeFamily(), SearchConfig(modes=2, restarts=3, max_iterations=40, seed=55),
+            [10.0, 100.0, 1e5], 0, 3)
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        fresh = pool.submit(_restart, args).result(timeout=300)
-    assert fresh == _restart(args)
+        fresh = pool.submit(_run_chunk, args).result(timeout=300)
+    assert fresh == _run_chunk(args)
 
 
 def test_unknown_nogo_attribute_is_still_an_attribute_error():
@@ -526,4 +507,122 @@ def test_restart_trace_keys_are_pinned(search, cfg, kind):
     assert [t["restart"] for t in trace] == list(range(cfg.restarts))
     for entry in trace:
         assert set(entry) == {"restart", "mu", "measure", "leakage",
-                              f"{kind}_measure", f"{kind}_leakage"}
+                              f"{kind}_measure", f"{kind}_leakage", "nfev", "nit", "status"}
+        assert 1 <= entry["nit"] <= cfg.max_iterations
+        assert 1 <= entry["nfev"] <= 4 * cfg.max_iterations
+        assert entry["status"] in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer and the stacked objective
+# ---------------------------------------------------------------------------
+
+def assert_matches_reference_nelder_mead(family, cfg, mus):
+    """Run restarts 0..len(mus)-1 of a search chunk, then each through
+    scipy's Nelder-Mead on the same objective, and require the same x,
+    nfev, nit and status bit for bit.  Returns the status codes.
+
+    scipy reuses the (measure, constraint) the chunk computed at a point it
+    asks for again, and computes any other point, so it always sees the
+    true objective and a diverging path still shows.
+    """
+    from scipy.optimize import minimize
+
+    scores, memo = family.scores, {}
+
+    def recording(xs):
+        out = scores(xs)
+        memo.update((x.tobytes(), row) for x, row in zip(xs, out))
+        return out
+
+    family.scores = recording
+    statuses = []
+    for r, (entry, candidates) in enumerate(_run_chunk((family, cfg, mus, 0, len(mus)))):
+        def objective(x):
+            row = memo.get(x.tobytes())
+            measure, constraint = scores(x[np.newaxis])[0] if row is None else row
+            return -(measure - mus[r] * constraint)
+
+        ref = minimize(objective, family.start(_task_rng(cfg.seed, r)), method="Nelder-Mead",
+                       options={"maxiter": cfg.max_iterations, "maxfev": 4 * cfg.max_iterations,
+                                "xatol": 1e-12, "fatol": 1e-14, "adaptive": True})
+        assert candidates[0][0] == "endpoint"
+        x = np.array(candidates[0][1])
+        assert ((x.tobytes(), entry["nfev"], entry["nit"], entry["status"])
+                == (ref.x.tobytes(), ref.nfev, ref.nit, ref.status))
+        statuses.append(entry["status"])
+    return statuses
+
+
+class StepFamily:
+    """A piecewise-constant objective: ties everywhere, so Nelder-Mead sorts
+    tied values, shrinks often and meets the evaluation cap part-way
+    through a step."""
+
+    kind = "step"
+
+    def start(self, rng):
+        return rng.uniform(-math.pi, math.pi, size=5)
+
+    def scores(self, xs):
+        return np.column_stack([np.floor((xs * xs).sum(axis=1)), np.abs(xs).max(axis=1) > 2.0])
+
+    def feasible(self, xs):
+        return xs, self.scores(xs)
+
+
+class ZeroPhaseTwoMode(_TwoModeFamily):
+    """The two-mode objective from start points with a zero coordinate,
+    which the initial simplex steps away from by a fixed amount."""
+
+    def start(self, rng):
+        x = super().start(rng)
+        x[0] = 0.0
+        return x
+
+
+def test_nelder_mead_matches_the_reference_bit_for_bit():
+    raw = json.loads(resources.files("focklift").joinpath("configs", "two_mode.json").read_text())
+    cfg = SearchConfig.from_jsonable(raw)
+    levels = _penalty_levels(cfg)
+    ladder = [levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
+              for r in range(cfg.restarts)]
+    statuses = assert_matches_reference_nelder_mead(_TwoModeFamily(), cfg, ladder)
+    for family in (_TwoModeFamily(), ZeroPhaseTwoMode(), StepFamily()):
+        for m in (1, 2, 3, 7, 40):
+            statuses += assert_matches_reference_nelder_mead(
+                family, SearchConfig(max_iterations=m, seed=67), [0.0, 10.0, 1e5])
+    for modes, k in ((3, 0), (4, 1)):
+        for m in (2, 30):
+            cfg = SearchConfig(modes=modes, ancilla_photons=k, max_iterations=m, seed=68)
+            statuses += assert_matches_reference_nelder_mead(
+                ancilla_family(modes, k), cfg, [1e5, 0.0])
+    assert {0, 1, 2} <= set(statuses)
+
+
+def two_mode_rows(seed, count):
+    """count random angle rows, then edge rows: the mixing angle on
+    multiples of pi/2 (and -0.0, a hair off zero, pi/4), phases +-pi, 0
+    and -0.0."""
+    special = (math.pi, -math.pi, 0.0, -0.0)
+    mixing = [k * math.pi / 2 for k in range(-4, 5)] + [-0.0, 1e-9, math.pi / 4]
+    edge = [(special[i % 4], special[(i + 1) % 4], special[i // 4 % 4], special[(i + 2) % 4], e)
+            for i in range(16) for e in mixing]
+    return np.vstack([np.random.default_rng(seed).uniform(-math.pi, math.pi, (count, 5)), edge])
+
+
+def test_two_mode_stack_scores_each_row_as_its_gate_alone():
+    # (measure, leakage) per row recorded from the single-gate path before
+    # the two-mode objective was stacked
+    golden = json.loads((Path(__file__).with_name("two_mode_golden.json")).read_text())
+    rows = two_mode_rows(golden["seed"], golden["random_rows"])
+    family = _TwoModeFamily()
+    stacked = family.scores(rows)
+    assert len(stacked) == len(golden["measure"]) == len(golden["leakage"])
+    for row, scores, ref_measure, ref_leakage in zip(
+            rows, stacked, golden["measure"], golden["leakage"]):
+        measure, leak = scores
+        assert tuple(family.scores(row[np.newaxis])[0]) == (measure, leak)
+        assert _two_mode_point_eval(row) == (measure, leak)
+        assert abs(measure - ref_measure) <= 1e-15
+        assert abs(leak - ref_leakage) <= 1e-15
