@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import require_unitary
+from .linalg import _UNITARY, CHECK_TOL, _as_square, _require, require_unitary
 from .permanent import _BLOCK_ENTRIES
 
 __all__ = [
@@ -141,18 +141,19 @@ def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
 
     Column n peels a photon off its first occupied mode j (``peel``), from
     ``parent`` = index of n - e_j, with factor ``inv`` = 1/sqrt(n_j).  Row r
-    adds it back from each mode i: ``source[r, i]`` = index of r - e_i and
-    ``weight[r, 0, i]`` = sqrt(r_i) (0, source 0, when r_i = 0; complex so
-    the matmul needs no cast).  O(D * M) entries, read-only: callers share them.
+    adds it back from each mode i: ``source[r, i]`` = flat offset of row
+    r - e_i in the (N-1)-photon matrix and ``weight[r, 0, i]`` = sqrt(r_i)
+    (0, source 0, when r_i = 0; complex so the matmul needs no cast).
+    O(D * M) entries, read-only: callers share them.
     """
     states = basis_enumerate(modes, photons).states
-    index = basis_enumerate(modes, photons - 1).index
+    below = basis_enumerate(modes, photons - 1)
     occ = np.array(states)
-    source = np.array([[index(s[:i] + (k - 1,) + s[i + 1:]) if k else 0
+    source = np.array([[below.index(s[:i] + (k - 1,) + s[i + 1:]) if k else 0
                         for i, k in enumerate(s)] for s in states], dtype=np.intp)
     rows = np.arange(len(states))
     peel = np.argmax(occ > 0, axis=1)
-    tables = (peel, source[rows, peel], 1.0 / np.sqrt(occ[rows, peel]), source,
+    tables = (peel, source[rows, peel], 1.0 / np.sqrt(occ[rows, peel]), source * len(below),
               np.sqrt(occ)[:, None, :].astype(complex))
     for table in tables:
         table.flags.writeable = False
@@ -160,42 +161,57 @@ def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
 
 
 def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnitary:
-    """Lift a mode unitary to its matrices on the sectors 0..N.
+    """Lift a mode unitary, or a stack of them, to the sectors 0..N.
 
     Parameters
     ----------
-    v : (M, M) array_like
-        Mode unitary; rows are output modes, columns input modes.
+    v : (M, M) or (L, M, M) array_like
+        Mode unitary; rows are output modes, columns input modes.  A stack
+        gives (L, D, D) sectors, each lane bit for bit its matrix alone.
     photons : int
         Top sector photon number N >= 0.  N = 0 gives the 1 x 1 identity.
-        The kept sectors may number at most MAX_BASIS_SIZE and hold at most
-        MAX_BASIS_SIZE**2 entries in all; more raise ResourceLimitError
-        before anything is allocated.
+        The kept sectors of one matrix may number at most MAX_BASIS_SIZE
+        and hold at most MAX_BASIS_SIZE**2 entries in all; more raise
+        ResourceLimitError before anything is allocated.  A stack is lifted
+        in chunks of lanes whose sectors together stay within that bound.
     check : bool
-        Validate unitarity of v (skip only in hot loops that construct v
-        as an exact exponential).
+        Validate unitarity of every member of v (skip only in hot loops
+        that construct v as an exact exponential).
     """
-    v = np.asarray(v, dtype=complex)
-    if check:
-        v = require_unitary(v, name="mode matrix")
-    modes = v.shape[0]
-    basis = basis_enumerate(modes, photons)
+    v = _require(v, _UNITARY, CHECK_TOL, "mode matrix", stack=True) if check else \
+        _as_square(v, "mode matrix", stack=True)
+    modes = v.shape[-1]
     _check_lift_size(modes, photons)
-    sectors = [np.ones((1, 1), dtype=complex)]
-    for n in range(1, photons + 1):
+    basis = basis_enumerate(modes, photons)
+    lanes = v.reshape(-1, modes, modes)
+    dims = [len(basis_enumerate(modes, n)) for n in range(1, photons + 1)]
+    sectors = [np.ones((len(lanes), 1, 1), dtype=complex)]
+    sectors += [np.empty((len(lanes), d, d), dtype=complex) for d in dims]
+    chunk = max(1, MAX_BASIS_SIZE ** 2 // _kept_entries(modes, photons))
+    for lo in range(0, len(lanes), chunk):
+        _lift_lanes(lanes[lo:lo + chunk], [s[lo:lo + chunk] for s in sectors])
+    return LiftedUnitary(basis=basis, sectors=tuple(s[0] if v.ndim == 2 else s for s in sectors))
+
+
+def _lift_lanes(v: np.ndarray, sectors: list[np.ndarray]) -> None:
+    """Fill the (L, D, D) sectors 1..N of an (L, M, M) stack from sector 0.
+    Gathers use take (fancy indexing may put the lane axis innermost) and
+    products are formed out of place (in place, numpy rounds another way),
+    so a lane meets the same kernels on the same strides at any width."""
+    lanes, modes = v.shape[:2]
+    for n in range(1, len(sectors)):
         peel, parent, inv, source, weight = _recursion_tables(modes, n)
-        prev = sectors[-1]
-        coeff = v[:, peel] * inv  # v[i, j] / sqrt(n_j) for each column n
+        prev = sectors[n - 1].reshape(lanes, -1)
+        coeff = (v.take(peel, axis=2) * inv)[:, np.newaxis]  # v[i, j] / sqrt(n_j), column n
         d = len(peel)
-        out = np.empty((d, 1, d), dtype=complex)
+        out = sectors[n].reshape(lanes, d, 1, d)
         # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|prev|n - e_j>,
-        # as many rows at a time as keep the (rows, M, D) gather within one block
-        step = max(1, _BLOCK_ENTRIES // (modes * d))
+        # as many rows at a time as keep the (lanes, rows, M, D) gather within one block
+        step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
         for a in range(0, d, step):
             rows = slice(a, a + step)
-            np.matmul(weight[rows], prev[source[rows, :, None], parent] * coeff, out=out[rows])
-        sectors.append(out.reshape(d, d))
-    return LiftedUnitary(basis=basis, sectors=tuple(sectors))
+            gathered = prev.take(source[rows, :, None] + parent, axis=1)
+            np.matmul(weight[rows], gathered * coeff, out=out[:, rows])
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def _as_square(m: np.ndarray, name: str) -> np.ndarray:
+def _as_square(m: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
         raise InvalidInputError(f"{name} must be a square matrix, got shape {m.shape}")
     return m
 
@@ -51,22 +51,32 @@ def is_unitary(u: np.ndarray, tol: float = CHECK_TOL) -> bool:
     return frobenius(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
-def require_hermitian(h: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
-    h = _as_square(h, name)
+# (property, defect whose Frobenius norm may not exceed the tolerance)
+_HERMITIAN = ("Hermitian: ||h - h^dag||", lambda h: h - h.conj().swapaxes(-1, -2))
+_UNITARY = ("unitary: ||u^dag u - 1||",
+            lambda u: u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))
+
+
+def _require(m: np.ndarray, check: tuple, tol: float, name: str,
+             stack: bool = False) -> np.ndarray:
+    """m as a complex square matrix, or with stack=True also an (L, M, M)
+    stack, once each member passes the check; NaN or inf fails."""
+    m = _as_square(m, name, stack)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
-        dev = frobenius(h - h.conj().T)
-    if not dev <= tol:
-        raise InvalidInputError(f"{name} is not Hermitian: ||h - h^dag|| = {dev:.3e} > {tol:.1e}")
-    return h
+        dev = np.linalg.norm(check[1](m), axis=(-2, -1)).reshape(-1)
+    bad = np.flatnonzero(~(dev <= tol))
+    if bad.size:
+        member = f" (stack member {bad[0]})" if m.ndim == 3 else ""
+        raise InvalidInputError(f"{name}{member} is not {check[0]} = {dev[bad[0]]:.3e} > {tol:.1e}")
+    return m
+
+
+def require_hermitian(h: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
+    return _require(h, _HERMITIAN, tol, name)
 
 
 def require_unitary(u: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
-    u = _as_square(u, name)
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
-        dev = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-    if not dev <= tol:
-        raise InvalidInputError(f"{name} is not unitary: ||u^dag u - 1|| = {dev:.3e} > {tol:.1e}")
-    return u
+    return _require(u, _UNITARY, tol, name)
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,9 +92,11 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
-    """Unitary exp(i*h) of a Hermitian matrix via its eigendecomposition."""
-    w, q = hermitian_eig(h)
-    return (q * np.exp(1j * w)) @ q.conj().T
+    """Unitary exp(i*h) of a Hermitian matrix via its eigendecomposition,
+    or of each member of an (L, M, M) stack as for it alone; one member not
+    Hermitian to CHECK_TOL (Frobenius norm) fails with InvalidInputError."""
+    w, q = np.linalg.eigh(_require(h, _HERMITIAN, CHECK_TOL, "matrix", stack=True))
+    return (q * np.exp(1j * w)[..., np.newaxis, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,10 +20,11 @@ feasible points and can only under-report the certificate.
 
 The optimizer is an in-package adaptive Nelder-Mead written as a
 generator, so the restarts of a search advance together and every step
-scores all their pending points in one call on a stack: the two-mode
-family scores the stack at once, the ancilla family point by point.  A
-restart's path does not depend on the restarts it is stacked with, and
-its trace entry records the evaluations, iterations and stop status.
+scores all their pending points in one call on a stack; both families
+score the whole stack at once, each row bit for bit as for its point
+alone.  A restart's path does not depend on the restarts it is stacked
+with, and its trace entry records the evaluations, iterations and stop
+status.
 
 The ancilla certificate at the 1e-10 tolerance comes from projected
 candidates, which entangle nothing by construction: no optimizer endpoint
@@ -574,6 +575,7 @@ class _AncillaFamily:
     The four computational inputs |n1 n2> ride along with all ancilla
     photons in the first ancilla mode; each output is compared, per rail
     occupation, with the ancilla state chi that the input |0 0> leaves.
+    A stack of points takes one exponential, one lift and one gather.
     """
 
     kind = "projected"
@@ -586,69 +588,85 @@ class _AncillaFamily:
         upper = np.triu_indices(m, 1)
         self.gen_rows = np.concatenate([np.arange(m), upper[0]])
         self.gen_cols = np.concatenate([np.arange(m), upper[1]])
-        # computational <-> bunched entries of the top sector, which holds
-        # the doubly occupied input
-        self.coupling = _coupling_mask(m, k + 2)
+        # flat computational <-> bunched entries of the top sector, which
+        # holds the doubly occupied input
+        self.coupling = np.flatnonzero(_coupling_mask(m, k + 2))
         ancilla = basis_enumerate(m - 2, k).states
         # the first four rail occupations are the computational inputs in
-        # gate column order; per input keep (sector, input column, (rails x
-        # ancilla states) index block, gate rows of the computational rails,
-        # which come first in the block)
+        # gate column order, their output columns laid end to end; a row of
+        # ``blocks`` holds the (rails, ancilla state) positions of one
+        # input's rail occupation, ``gate_at`` the flat gate entry of each
+        # computational row ``gate_rows``
         rails = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
-        self.inputs = []
-        for n in rails[:4]:
-            index = basis_enumerate(m, sum(n) + k).index
-            group = [r for r in rails if sum(r) == sum(n)]
-            block = np.array([[index(r + a) for a in ancilla] for r in group], dtype=np.intp)
-            rows = [2 * r[0] + r[1] for r in group if max(r) <= 1]
-            self.inputs.append((sum(n) + k, index(n + ancilla[0]), block, rows))
+        self.columns, blocks, self.gate_rows, self.gate_at = [], [], [], []
+        offset = 0
+        for c, n in enumerate(rails[:4]):
+            basis = basis_enumerate(m, sum(n) + k)
+            self.columns.append((sum(n) + k, basis.index(n + ancilla[0])))
+            for r in (r for r in rails if sum(r) == sum(n)):
+                if max(r) <= 1:
+                    self.gate_rows.append(len(blocks))
+                    self.gate_at.append(4 * (2 * r[0] + r[1]) + c)
+                blocks.append([offset + basis.index(r + a) for a in ancilla])
+            offset += len(basis)
+        self.blocks = np.array(blocks, dtype=np.intp)
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-math.pi, math.pi, size=self.modes ** 2)
 
-    def point(self, x: np.ndarray) -> np.ndarray:
+    def unitaries(self, xs: np.ndarray) -> np.ndarray:
+        """(L, M, M) mode unitaries exp(i H) of an (L, M^2) stack of generators."""
         m = self.modes
-        entries = np.concatenate([x[:m], x[m::2] + 1j * x[m + 1::2]])
-        h = np.empty((m, m), dtype=complex)
-        h[self.gen_cols, self.gen_rows] = entries.conj()
-        h[self.gen_rows, self.gen_cols] = entries
+        entries = np.concatenate([xs[:, :m], xs[:, m::2] + 1j * xs[:, m + 1::2]], axis=1)
+        h = np.empty((len(xs), m, m), dtype=complex)
+        h[:, self.gen_cols, self.gen_rows] = entries.conj()
+        h[:, self.gen_rows, self.gen_cols] = entries
+        # read at call time from this module, where perfbench traces it
         return exp_i_hermitian(h)
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
         """(measure, constraint) rows of an (L, M^2) stack of generators,
-        one point at a time."""
-        return np.array([self.evaluate(self.point(x)) for x in xs])
+        each row bit for bit as for its point alone."""
+        return self.rate(self.unitaries(xs))[0]
 
-    def evaluate(self, v: np.ndarray) -> tuple[float, float]:
-        return self.evaluate_gate(v)[:2]
-
-    def evaluate_gate(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(entangling measure, constraint weight, induced 4x4) for a mode unitary."""
+    def rate(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L, 2) (entangling measure, constraint weight) rows and (L, 4, 4)
+        induced gates of an (L, M, M) stack of mode unitaries.  Sums run along
+        contiguous last axes, so a row does not depend on the rows beside it."""
+        lanes = len(v)
         phi = lift_unitary(v, self.photons, check=False).sectors
         # closed-form error-avoidance amplitudes 2 v[r, i]^2, rails r, ancillas i
-        residual = 2.0 * math.sqrt(float(np.sum(np.abs(v[:2, 2:]) ** 4)))
-        leak = float(np.linalg.norm(phi[-1][self.coupling]))
-        sector, col, block, _ = self.inputs[0]
-        chi = phi[sector][block[0], col]
-        chi_norm = float(np.linalg.norm(chi))
-        chi = chi / chi_norm if chi_norm >= 1e-12 else np.eye(len(chi))[0]
-        # factorization defect: for each computational input, subtract the
-        # rail-occupation (x) chi reconstruction from the output column; what
-        # remains is weight outside the product form (wrong ancilla state, or a
-        # photon exchanged between rails and ancillas) and must vanish
-        gate = np.zeros((4, 4), dtype=complex)
-        defect_sq = 0.0
-        for c, (sector, col, block, rows) in enumerate(self.inputs):
-            out = phi[sector][:, col].copy()
-            amps = out[block] @ chi.conj()
-            out[block] -= np.outer(amps, chi)
-            gate[rows, c] = amps[:len(rows)]
-            defect_sq += float(np.vdot(out, out).real)
+        sq = _abs_sq(v[:, :2, 2:].reshape(lanes, -1))
+        residual = 2.0 * np.sqrt((sq * sq).sum(axis=1))
+        leak = np.sqrt(_abs_sq(phi[-1].reshape(lanes, -1).take(self.coupling, axis=1)).sum(axis=1))
+        cols = np.concatenate([phi[s][:, :, col] for s, col in self.columns], axis=1)
+        blocks = cols.take(self.blocks, axis=1)
+        # chi: the ancilla part of the |0 0> output, or the first ancilla state
+        chi_norm = np.sqrt(_abs_sq(blocks[:, 0]).sum(axis=1))
+        chi = blocks[:, 0] / np.maximum(chi_norm, 1e-12)[:, None]
+        chi[chi_norm < 1e-12] = np.eye(chi.shape[1])[0]
+        # factorization defect: subtract from every block its projection on
+        # chi; what remains of the output columns is weight outside the
+        # product form (wrong ancilla state, or a photon exchanged between
+        # rails and ancillas) and must vanish
+        amps = np.matmul(blocks, chi.conj()[:, :, None])
+        cols[:, self.blocks] = blocks - amps * chi[:, None, :]
+        gate = np.zeros((lanes, 4, 4), dtype=complex)
+        gate.reshape(lanes, 16)[:, self.gate_at] = amps[:, self.gate_rows, 0]
         u, _, vh = np.linalg.svd(gate)
-        return entangling_measure(u @ vh), leak + residual + math.sqrt(defect_sq), gate
+        constraint = leak + residual + np.sqrt(_abs_sq(cols).sum(axis=1))
+        # broadcast, as in the two-mode family, so a replacement may return a scalar
+        measure = np.broadcast_to(entangling_measure(u @ vh), lanes)
+        return np.stack([measure, constraint], axis=1), gate
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return xs, np.array([self.evaluate(_project_feasible(self.point(x))) for x in xs])
+        projected = np.array([_project_feasible(v) for v in self.unitaries(xs)])
+        return xs, self.rate(projected)[0]
+
+
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex (L, n) array as a new (row-major) real array."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:

@@ -161,14 +161,62 @@ def test_lift_row_chunks_match_one_block(monkeypatch):
     # a block of 16 entries leaves one output row per chunk, so the chunk
     # bounds of every sector are exercised against a single-chunk lift
     fock = importlib.import_module("focklift.fock")
-    v = haar_random_unitary(5, 18)
-    monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 1 << 30)
-    whole = lift_unitary(v, 4)
-    monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 16)
-    chunked = lift_unitary(v, 4)
+    for v in (haar_random_unitary(5, 18), np.array([haar_random_unitary(5, s) for s in (19, 20)])):
+        monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 1 << 30)
+        whole = lift_unitary(v, 4)
+        monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 16)
+        chunked = lift_unitary(v, 4)
+        for a, b in zip(whole.sectors, chunked.sectors, strict=True):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-15
+
+
+def test_stacked_lift_equals_each_matrix_lifted_alone():
+    rng = np.random.default_rng(19)
+    for modes in range(1, 5):
+        stack = np.array([haar_random_unitary(modes, rng) for _ in range(5)])
+        for photons in range(5):
+            lifted = lift_unitary(stack, photons)
+            assert lifted.basis == basis_enumerate(modes, photons)
+            for lane, v in enumerate(stack):
+                for a, b in zip(lifted.sectors, lift_unitary(v, photons).sectors, strict=True):
+                    assert np.array_equal(a[lane], b), (modes, photons, lane)
+
+
+def test_stacked_lift_fails_closed_on_one_non_unitary_member():
+    stack = np.array([haar_random_unitary(3, seed) for seed in range(4)])
+    stack[2, 0, 0] += 1e-6
+    with pytest.raises(InvalidInputError, match="stack member 2"):
+        lift_unitary(stack, 2)
+    assert lift_unitary(stack, 2, check=False).matrix.shape == (4, 6, 6)
+    for bad in (np.ones((2, 3, 4)), np.ones((2, 2, 3, 3))):
+        with pytest.raises(InvalidInputError):
+            lift_unitary(bad, 2, check=False)
+
+
+def test_stacked_lift_chunks_lanes_within_the_single_matrix_cap(monkeypatch):
+    # at a cap of 8, (M, N) = (3, 2) keeps 1 + 9 + 36 = 46 <= 64 entries per
+    # matrix, so a chunk holds one lane and a stack of six takes six chunks
+    fock = importlib.import_module("focklift.fock")
+    stack = np.array([haar_random_unitary(3, seed) for seed in range(6)])
+    whole = lift_unitary(stack, 2)
+    chunks = []
+    lanes = fock._lift_lanes
+    monkeypatch.setattr(fock, "_lift_lanes", lambda v, sectors: (chunks.append(len(v)),
+                                                                  lanes(v, sectors)))
+    monkeypatch.setattr(fock, "MAX_BASIS_SIZE", 8)
+    chunked = lift_unitary(stack, 2)
+    assert chunks == [1] * 6
     for a, b in zip(whole.sectors, chunked.sectors, strict=True):
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) < 1e-15
+        assert np.array_equal(a, b)
+    # an oversize single matrix still fails before any basis or table is built
+    def refuse(*args):
+        raise AssertionError("built before the lift size check")
+
+    monkeypatch.setattr(fock, "basis_enumerate", refuse)
+    monkeypatch.setattr(fock, "_recursion_tables", refuse)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        lift_unitary(np.eye(3), 3)  # 1 + 9 + 36 + 100 entries > 64
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,37 @@ def test_exp_i_hermitian_unitary_and_diagonal_case():
     assert np.allclose(exp_i_hermitian(np.zeros((4, 4))), np.eye(4), atol=1e-15)
 
 
+def test_exp_i_hermitian_stack_equals_each_member_alone():
+    rng = np.random.default_rng(6)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+    stack[1] = 0.0
+    out = exp_i_hermitian(stack)
+    assert out.shape == (5, 4, 4)
+    for h, v in zip(stack, out):
+        assert np.array_equal(exp_i_hermitian(h), v)
+    assert np.array_equal(out[1], np.eye(4))
+
+
+def test_exp_i_hermitian_stack_fails_closed_on_one_bad_member():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    skew = stack.copy()
+    skew[3, 0, 1] += 10 * CHECK_TOL
+    with pytest.raises(InvalidInputError, match=r"stack member 3\) is not Hermitian"):
+        exp_i_hermitian(skew)
+    for value in (np.nan, np.inf):
+        bad = stack.copy()
+        bad[1, 2, 2] = value
+        with pytest.raises(InvalidInputError, match="stack member 1"):
+            exp_i_hermitian(bad)
+    for shape in ((2, 3, 4), (2, 2, 3, 3), (3,)):
+        with pytest.raises(InvalidInputError):
+            exp_i_hermitian(np.zeros(shape))
+    # the single-matrix checks still refuse stacks
+    with pytest.raises(InvalidInputError):
+        require_hermitian(stack)
+
+
 def test_svd_descending_and_reconstructs():
     rng = np.random.default_rng(4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

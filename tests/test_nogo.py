@@ -327,14 +327,15 @@ def test_projection_lands_on_feasible_manifold():
             vp = _project_feasible(haar_random_unitary(m, rng))
             assert np.linalg.norm(vp[:2, 2:]) == 0.0
             assert np.linalg.norm(vp[2:, :2]) == 0.0
-            meas, constraint, _ = family.evaluate_gate(vp)
+            (meas, constraint), = family.rate(vp[np.newaxis])[0]
             assert constraint < 1e-10
             assert meas < 1e-10
 
 
 def test_ancilla_eval_identity_gate():
     family = ancilla_family(3)
-    meas, constraint, gate = family.evaluate_gate(np.eye(3, dtype=complex))
+    scores, gates = family.rate(np.eye(3, dtype=complex)[np.newaxis])
+    (meas, constraint), gate = scores[0], gates[0]
     assert constraint < 1e-14
     assert meas < 1e-14
     assert np.max(np.abs(gate - np.eye(4))) < 1e-14
@@ -345,7 +346,7 @@ def test_ancilla_eval_flags_rail_mixing():
     v = np.eye(3, dtype=complex)
     v[:2, :2] = composite_gate_mode_matrix(CompositeGateParams(0, 0, 0, 0, math.pi / 4))
     family = ancilla_family(3)
-    _, constraint, _ = family.evaluate_gate(v)
+    (_, constraint), = family.rate(v[np.newaxis])[0]
     assert constraint > 1.0
 
 
@@ -356,19 +357,28 @@ def test_ancilla_objective_matches_golden_values():
     golden = json.loads((Path(__file__).with_name("ancilla_golden.json")).read_text())
     assert {(c["modes"], c["ancilla_photons"]) for c in golden} == {
         (3, 0), (4, 1), (4, 2), (5, 2)}
+    stacks = {}
     for case in golden:
         m, seed = case["modes"], case["seed"]
         family = ancilla_family(m, case["ancilla_photons"])
-        x = np.random.default_rng(seed).uniform(-math.pi, math.pi, m * m)
+        x = np.random.default_rng(seed).uniform(-math.pi, math.pi, (1, m * m))
         haar = haar_random_unitary(m, seed)
-        v = {"haar": haar, "generator": family.point(0.05 * x),
-             "near": _project_feasible(haar) @ family.point(1e-4 * x)}[case["unitary"]]
-        meas, constraint, gate = family.evaluate_gate(v)
+        v = {"haar": haar, "generator": family.unitaries(0.05 * x)[0],
+             "near": _project_feasible(haar) @ family.unitaries(1e-4 * x)[0]}[case["unitary"]]
+        scores, gates = family.rate(v[np.newaxis])
+        (meas, constraint), gate = scores[0], gates[0]
         assert abs(meas - case["measure"]) <= 1e-12
         assert abs(constraint - case["constraint"]) <= 1e-12
         expected = np.array([[complex(*z) for z in row] for row in case["gate"]])
         assert np.max(np.abs(gate - expected)) <= 1e-12
-        assert family.evaluate(v) == (meas, constraint)
+        stack = stacks.setdefault((m, case["ancilla_photons"]), (family, [], [], []))
+        for part, value in zip(stack[1:], (v, scores[0], gate)):
+            part.append(value)
+    # the cases of one (M, k) stacked score each row as it scored alone
+    for family, vs, scores, gates in stacks.values():
+        stacked_scores, stacked_gates = family.rate(np.array(vs))
+        assert np.array_equal(stacked_scores, np.array(scores))
+        assert np.array_equal(stacked_gates, np.array(gates))
 
 
 def test_ancilla_objective_makes_one_lift_and_one_exponential(monkeypatch):
@@ -387,9 +397,11 @@ def test_ancilla_objective_makes_one_lift_and_one_exponential(monkeypatch):
     family = ancilla_family(4, 1)
     for name in calls:
         monkeypatch.setattr(focklift.nogo, name, counting(name))
-    x = np.random.default_rng(66).uniform(-math.pi, math.pi, 16)
-    family.evaluate(family.point(x))
+    xs = np.random.default_rng(66).uniform(-math.pi, math.pi, (5, 16))
+    assert family.scores(xs).shape == (5, 2)
     assert calls == {"lift_unitary": 1, "exp_i_hermitian": 1}
+    family.feasible(xs)
+    assert calls == {"lift_unitary": 2, "exp_i_hermitian": 2}
 
 
 def test_oversize_ancilla_config_fails_before_building_tables(monkeypatch):
@@ -439,11 +451,13 @@ def test_ancilla_search_rejects_two_modes():
 
 
 def test_ancilla_search_deterministic():
-    cfg = SearchConfig(modes=3, restarts=3, max_iterations=100,
-                       penalty_weight=1e5, seed=58)
-    a = nogo_search_ancilla(cfg).to_jsonable(include_timing=False)
-    b = nogo_search_ancilla(cfg, jobs=2).to_jsonable(include_timing=False)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    # five restarts over three workers split unevenly, 1 + 2 + 2
+    for modes, ancilla_photons in ((3, 0), (4, 1)):
+        cfg = SearchConfig(modes=modes, ancilla_photons=ancilla_photons, restarts=5,
+                           max_iterations=60, penalty_weight=1e5, seed=58)
+        reports = [json.dumps(nogo_search_ancilla(cfg, jobs=jobs).to_jsonable(
+            include_timing=False), sort_keys=True) for jobs in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +471,10 @@ def _two_mode_point_eval(params):
 
 def _ancilla_point_eval(params, kind, cfg):
     family = _AncillaFamily(cfg)
-    v = family.point(np.array(params))
+    v = family.unitaries(np.array([params]))[0]
     if kind == "projected":
         v = _project_feasible(v)
-    return family.evaluate(v)
+    return tuple(family.rate(v[np.newaxis])[0][0])
 
 
 @pytest.mark.parametrize("penalty_weight, seed, kind", [
@@ -626,3 +640,39 @@ def test_two_mode_stack_scores_each_row_as_its_gate_alone():
         assert _two_mode_point_eval(row) == (measure, leak)
         assert abs(measure - ref_measure) <= 1e-15
         assert abs(leak - ref_leakage) <= 1e-15
+
+
+def ancilla_rows(modes, seed, count):
+    """count random generators, then edge rows: the zero generator, a
+    rail-ancilla swap that empties the ancilla part of the |0 0> output
+    (with ancilla photons, chi falls back to the first ancilla state), and
+    points 1e-4 from a projected unitary: generators without rail-rail or
+    rail-ancilla couplings, which give feasible unitaries, nudged."""
+    rng = np.random.default_rng(seed)
+    upper = list(zip(*np.triu_indices(modes, 1)))
+    swap = np.zeros(modes * modes)
+    swap[modes + 2 * upper.index((0, 2))] = math.pi / 2
+    feasible = rng.uniform(-math.pi, math.pi, (4, modes * modes))
+    for p, (a, b) in enumerate(upper):
+        if a < 2:
+            feasible[:, modes + 2 * p:modes + 2 * p + 2] = 0.0
+    near = feasible + 1e-4 * rng.uniform(-1.0, 1.0, feasible.shape)
+    return np.vstack([rng.uniform(-math.pi, math.pi, (count, modes * modes)),
+                      np.zeros(modes * modes), swap, near])
+
+
+@pytest.mark.parametrize("modes, ancilla_photons", [(3, 0), (4, 1), (4, 2), (5, 2)])
+def test_ancilla_stack_scores_each_row_as_its_point_alone(modes, ancilla_photons):
+    family = ancilla_family(modes, ancilla_photons)
+    rows = ancilla_rows(modes, 69 + modes + ancilla_photons, 24)
+    alone = np.array([family.scores(row[np.newaxis])[0] for row in rows])
+    for width in (2, 3, 7, len(rows)):
+        for lo in range(0, len(rows), width):
+            assert np.array_equal(family.scores(rows[lo:lo + width]), alone[lo:lo + width])
+    edge = alone[-6:]
+    assert edge[0].tolist() == [0.0, 0.0]  # the identity
+    assert edge[1, 1] > 1.0  # the swap moves photons between rails and ancillas
+    assert np.all(edge[2:, 1] < 1e-2) and np.all(edge[2:, 1] > 0.0)
+    # the swap sends the first ancilla mode to rail 1 alone, so no ancilla
+    # photon stays behind: chi's norm is below 1e-12 once there are any
+    assert np.max(np.abs(family.unitaries(rows[-5:-4])[0, 2:, 2])) < 1e-15
