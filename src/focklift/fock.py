@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import _UNITARY, CHECK_TOL, _as_square, _require, require_unitary
+from .linalg import _as_square, require_unitary
 from .permanent import _BLOCK_ENTRIES
 
 __all__ = [
@@ -112,14 +112,16 @@ def _kept_entries(modes: int, photons: int) -> int:
     return sum(math.comb(n + modes - 1, modes - 1) ** 2 for n in range(photons + 1))
 
 
-def _check_lift_size(modes: int, photons: int) -> None:
+def _check_lift_size(modes: int, photons: int) -> int:
     """Raise ResourceLimitError when a lift to N photons would keep more than
-    MAX_BASIS_SIZE sectors or MAX_BASIS_SIZE**2 entries in all."""
+    MAX_BASIS_SIZE sectors or MAX_BASIS_SIZE**2 entries in all; else return
+    how many such lifts, stacked, keep at most that many entries."""
     if photons >= MAX_BASIS_SIZE or _kept_entries(modes, photons) > MAX_BASIS_SIZE ** 2:
         raise ResourceLimitError(
             f"a lift keeps the sectors 0..{photons} on {modes} modes; the cap is "
             f"{MAX_BASIS_SIZE} sectors and {MAX_BASIS_SIZE ** 2} entries in all"
         )
+    return MAX_BASIS_SIZE ** 2 // _kept_entries(modes, photons)
 
 
 @dataclass(frozen=True)
@@ -172,39 +174,29 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         Top sector photon number N >= 0.  N = 0 gives the 1 x 1 identity.
         The kept sectors of one matrix may number at most MAX_BASIS_SIZE
         and hold at most MAX_BASIS_SIZE**2 entries in all; more raise
-        ResourceLimitError before anything is allocated.  A stack is lifted
-        in chunks of lanes whose sectors together stay within that bound.
+        ResourceLimitError before anything is allocated.  A stack keeps L
+        times that many entries: the caller sizes it.
     check : bool
         Validate unitarity of every member of v (skip only in hot loops
         that construct v as an exact exponential).
     """
-    v = _require(v, _UNITARY, CHECK_TOL, "mode matrix", stack=True) if check else \
+    v = require_unitary(v, name="mode matrix", stack=True) if check else \
         _as_square(v, "mode matrix", stack=True)
     modes = v.shape[-1]
     _check_lift_size(modes, photons)
     basis = basis_enumerate(modes, photons)
-    lanes = v.reshape(-1, modes, modes)
-    dims = [len(basis_enumerate(modes, n)) for n in range(1, photons + 1)]
-    sectors = [np.ones((len(lanes), 1, 1), dtype=complex)]
-    sectors += [np.empty((len(lanes), d, d), dtype=complex) for d in dims]
-    chunk = max(1, MAX_BASIS_SIZE ** 2 // _kept_entries(modes, photons))
-    for lo in range(0, len(lanes), chunk):
-        _lift_lanes(lanes[lo:lo + chunk], [s[lo:lo + chunk] for s in sectors])
-    return LiftedUnitary(basis=basis, sectors=tuple(s[0] if v.ndim == 2 else s for s in sectors))
-
-
-def _lift_lanes(v: np.ndarray, sectors: list[np.ndarray]) -> None:
-    """Fill the (L, D, D) sectors 1..N of an (L, M, M) stack from sector 0.
-    Gathers use take (fancy indexing may put the lane axis innermost) and
-    products are formed out of place (in place, numpy rounds another way),
-    so a lane meets the same kernels on the same strides at any width."""
-    lanes, modes = v.shape[:2]
-    for n in range(1, len(sectors)):
+    vs = v.reshape(-1, modes, modes)
+    lanes = len(vs)
+    sectors = [np.ones((lanes, 1, 1), dtype=complex)]
+    # gathers use take (fancy indexing may put the lane axis innermost) and
+    # products are formed out of place (in place, numpy rounds another way),
+    # so a lane meets the same kernels on the same strides at any width
+    for n in range(1, photons + 1):
         peel, parent, inv, source, weight = _recursion_tables(modes, n)
-        prev = sectors[n - 1].reshape(lanes, -1)
-        coeff = (v.take(peel, axis=2) * inv)[:, np.newaxis]  # v[i, j] / sqrt(n_j), column n
+        prev = sectors[-1].reshape(lanes, -1)
+        coeff = (vs.take(peel, axis=2) * inv)[:, np.newaxis]  # v[i, j] / sqrt(n_j), column n
         d = len(peel)
-        out = sectors[n].reshape(lanes, d, 1, d)
+        out = np.empty((lanes, d, 1, d), dtype=complex)
         # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|prev|n - e_j>,
         # as many rows at a time as keep the (lanes, rows, M, D) gather within one block
         step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
@@ -212,6 +204,8 @@ def _lift_lanes(v: np.ndarray, sectors: list[np.ndarray]) -> None:
             rows = slice(a, a + step)
             gathered = prev.take(source[rows, :, None] + parent, axis=1)
             np.matmul(weight[rows], gathered * coeff, out=out[:, rows])
+        sectors.append(out.reshape(lanes, d, d))
+    return LiftedUnitary(basis=basis, sectors=tuple(s[0] if v.ndim == 2 else s for s in sectors))
 
 
 # ---------------------------------------------------------------------------

@@ -51,51 +51,50 @@ def is_unitary(u: np.ndarray, tol: float = CHECK_TOL) -> bool:
     return frobenius(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
-# (property, defect whose Frobenius norm may not exceed the tolerance)
-_HERMITIAN = ("Hermitian: ||h - h^dag||", lambda h: h - h.conj().swapaxes(-1, -2))
-_UNITARY = ("unitary: ||u^dag u - 1||",
-            lambda u: u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))
-
-
-def _require(m: np.ndarray, check: tuple, tol: float, name: str,
-             stack: bool = False) -> np.ndarray:
-    """m as a complex square matrix, or with stack=True also an (L, M, M)
-    stack, once each member passes the check; NaN or inf fails."""
-    m = _as_square(m, name, stack)
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
-        dev = np.linalg.norm(check[1](m), axis=(-2, -1)).reshape(-1)
+def _within(m: np.ndarray, dev: np.ndarray, tol: float, name: str, what: str) -> np.ndarray:
+    """m once every member's defect norm dev is within tol; NaN or inf fails."""
+    dev = np.reshape(dev, -1)
     bad = np.flatnonzero(~(dev <= tol))
     if bad.size:
         member = f" (stack member {bad[0]})" if m.ndim == 3 else ""
-        raise InvalidInputError(f"{name}{member} is not {check[0]} = {dev[bad[0]]:.3e} > {tol:.1e}")
+        raise InvalidInputError(f"{name}{member} is not {what} = {dev[bad[0]]:.3e} > {tol:.1e}")
     return m
 
 
-def require_hermitian(h: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
-    return _require(h, _HERMITIAN, tol, name)
+def require_hermitian(h: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix",
+                      stack: bool = False) -> np.ndarray:
+    """h, or with stack=True each member of an (L, M, M) stack, Hermitian to tol."""
+    h = _as_square(h, name, stack)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
+        dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return _within(h, dev, tol, name, "Hermitian: ||h - h^dag||")
 
 
-def require_unitary(u: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix") -> np.ndarray:
-    return _require(u, _UNITARY, tol, name)
+def require_unitary(u: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix",
+                    stack: bool = False) -> np.ndarray:
+    """u, or with stack=True each member of an (L, M, M) stack, unitary to tol."""
+    u = _as_square(u, name, stack)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
+        dev = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+    return _within(u, dev, tol, name, "unitary: ||u^dag u - 1||")
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of an (L, M, M) stack.
 
     Returns (w, q) with real eigenvalues w in ascending order and unitary q
     such that h = q @ diag(w) @ q^dag.  Raises InvalidInputError when the
-    input deviates from Hermiticity beyond the check tolerance.
+    input (any member) deviates from Hermiticity beyond the check tolerance.
     """
-    h = require_hermitian(h)
+    h = require_hermitian(h, stack=True)
     w, q = np.linalg.eigh(h)
     return w, q
 
 
 def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
     """Unitary exp(i*h) of a Hermitian matrix via its eigendecomposition,
-    or of each member of an (L, M, M) stack as for it alone; one member not
-    Hermitian to CHECK_TOL (Frobenius norm) fails with InvalidInputError."""
-    w, q = np.linalg.eigh(_require(h, _HERMITIAN, CHECK_TOL, "matrix", stack=True))
+    or of each member of an (L, M, M) stack as for it alone."""
+    w, q = hermitian_eig(h)
     return (q * np.exp(1j * w)[..., np.newaxis, :]) @ q.conj().swapaxes(-1, -2)
 
 

@@ -575,14 +575,15 @@ class _AncillaFamily:
     The four computational inputs |n1 n2> ride along with all ancilla
     photons in the first ancilla mode; each output is compared, per rail
     occupation, with the ancilla state chi that the input |0 0> leaves.
-    A stack of points takes one exponential, one lift and one gather.
+    A stack of points takes one exponential, then one lift and one gather
+    per ``lanes`` points (at every packaged size, the whole stack).
     """
 
     kind = "projected"
 
     def __init__(self, cfg: SearchConfig):
         m, k = cfg.modes, cfg.ancilla_photons
-        _check_lift_size(m, k + 2)
+        self.lanes = _check_lift_size(m, k + 2)
         self.modes, self.photons = m, k + 2
         # generator: x[:m] on the diagonal, then (re, im) pairs row by row
         upper = np.triu_indices(m, 1)
@@ -627,7 +628,12 @@ class _AncillaFamily:
     def scores(self, xs: np.ndarray) -> np.ndarray:
         """(measure, constraint) rows of an (L, M^2) stack of generators,
         each row bit for bit as for its point alone."""
-        return self.rate(self.unitaries(xs))[0]
+        return self.rows(self.unitaries(xs))
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        """rate's score rows of an (L, M, M) stack, ``lanes`` points a lift."""
+        return np.concatenate([self.rate(v[a:a + self.lanes])[0]
+                               for a in range(0, len(v), self.lanes)])
 
     def rate(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(L, 2) (entangling measure, constraint weight) rows and (L, 4, 4)
@@ -661,7 +667,7 @@ class _AncillaFamily:
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         projected = np.array([_project_feasible(v) for v in self.unitaries(xs)])
-        return xs, self.rate(projected)[0]
+        return xs, self.rows(projected)
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:

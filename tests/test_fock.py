@@ -194,22 +194,14 @@ def test_stacked_lift_fails_closed_on_one_non_unitary_member():
             lift_unitary(bad, 2, check=False)
 
 
-def test_stacked_lift_chunks_lanes_within_the_single_matrix_cap(monkeypatch):
-    # at a cap of 8, (M, N) = (3, 2) keeps 1 + 9 + 36 = 46 <= 64 entries per
-    # matrix, so a chunk holds one lane and a stack of six takes six chunks
+def test_oversize_lift_fails_before_building_anything(monkeypatch):
     fock = importlib.import_module("focklift.fock")
-    stack = np.array([haar_random_unitary(3, seed) for seed in range(6)])
-    whole = lift_unitary(stack, 2)
-    chunks = []
-    lanes = fock._lift_lanes
-    monkeypatch.setattr(fock, "_lift_lanes", lambda v, sectors: (chunks.append(len(v)),
-                                                                  lanes(v, sectors)))
     monkeypatch.setattr(fock, "MAX_BASIS_SIZE", 8)
-    chunked = lift_unitary(stack, 2)
-    assert chunks == [1] * 6
-    for a, b in zip(whole.sectors, chunked.sectors, strict=True):
-        assert np.array_equal(a, b)
-    # an oversize single matrix still fails before any basis or table is built
+    # at a cap of 8, (M, N) = (3, 2) keeps 1 + 9 + 36 = 46 <= 64 entries
+    assert fock._check_lift_size(3, 2) == 1
+    assert lift_unitary(np.array([haar_random_unitary(3, s) for s in range(3)]), 2).matrix.shape \
+        == (3, 6, 6)
+    # an oversize single matrix fails before any basis or table is built
     def refuse(*args):
         raise AssertionError("built before the lift size check")
 

@@ -452,9 +452,9 @@ def test_ancilla_search_rejects_two_modes():
 
 def test_ancilla_search_deterministic():
     # five restarts over three workers split unevenly, 1 + 2 + 2
-    for modes, ancilla_photons in ((3, 0), (4, 1)):
+    for modes, ancilla_photons, iterations in ((3, 0, 100), (4, 1, 60)):
         cfg = SearchConfig(modes=modes, ancilla_photons=ancilla_photons, restarts=5,
-                           max_iterations=60, penalty_weight=1e5, seed=58)
+                           max_iterations=iterations, penalty_weight=1e5, seed=58)
         reports = [json.dumps(nogo_search_ancilla(cfg, jobs=jobs).to_jsonable(
             include_timing=False), sort_keys=True) for jobs in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2]
@@ -676,3 +676,22 @@ def test_ancilla_stack_scores_each_row_as_its_point_alone(modes, ancilla_photons
     # the swap sends the first ancilla mode to rail 1 alone, so no ancilla
     # photon stays behind: chi's norm is below 1e-12 once there are any
     assert np.max(np.abs(family.unitaries(rows[-5:-4])[0, 2:, 2])) < 1e-15
+
+
+def test_ancilla_scores_lift_at_most_lanes_within_the_entry_cap(monkeypatch):
+    # at a cap of 23, (M, N) = (4, 3) keeps 1 + 16 + 100 + 400 = 517 <= 529
+    # entries per lift, so a lift takes one point and rows do not move
+    rows = ancilla_rows(4, 70, 3)
+    whole = ancilla_family(4, 1)
+    expected = whole.scores(rows)
+    projected = whole.feasible(rows)[1]
+    monkeypatch.setattr(focklift.fock, "MAX_BASIS_SIZE", 23)
+    family = ancilla_family(4, 1)
+    assert family.lanes == 1
+    lifted = []
+    monkeypatch.setattr(focklift.nogo, "lift_unitary",
+                        lambda v, *args, **kwargs: (lifted.append(len(v)),
+                                                    lift_unitary(v, *args, **kwargs))[1])
+    assert np.array_equal(family.scores(rows), expected)
+    assert np.array_equal(family.feasible(rows)[1], projected)
+    assert lifted == [1] * (2 * len(rows))
