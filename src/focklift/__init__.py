@@ -8,7 +8,6 @@ that decoupling the bunched states forbids entangling two-qubit gates.
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateInputError,
     InvalidInputError,
     LeakyGateError,
     ResourceLimitError,
@@ -25,14 +24,11 @@ from .fock import (
     lifted_to_csv,
     lifted_to_jsonable,
     poly_to_vector,
-    sector_product_check,
 )
 from .linalg import (
     exp_i_hermitian,
     haar_random_unitary,
     hermitian_eig,
-    polar_nearest_unitary,
-    svd,
 )
 from .modes import (
     CompositeGateParams,
@@ -42,7 +38,6 @@ from .modes import (
     element_matrix,
     elements_from_jsonable,
     elements_to_jsonable,
-    generator_xyz,
     reck_decompose,
     recompose,
 )
@@ -59,9 +54,7 @@ from .singlerail import (
     entangling_measure,
     extract_computational,
     leakage,
-    leakage_and_measure,
     nearest_unitary_block,
-    operator_schmidt_values,
 )
 from .nogo import (
     AncillaCheckReport,
@@ -73,19 +66,15 @@ from .nogo import (
     dont_cause_errors_residuals,
     nogo_search_ancilla,
     nogo_search_two_mode,
-    subspace_leakage,
 )
 
 __all__ = [
     "__version__",
     "InvalidInputError",
-    "DegenerateInputError",
     "ResourceLimitError",
     "LeakyGateError",
     "hermitian_eig",
     "exp_i_hermitian",
-    "svd",
-    "polar_nearest_unitary",
     "haar_random_unitary",
     "permanent",
     "FockBasis",
@@ -96,11 +85,9 @@ __all__ = [
     "basis_monomial",
     "lift_via_substitution",
     "poly_to_vector",
-    "sector_product_check",
     "basis_to_jsonable",
     "lifted_to_jsonable",
     "lifted_to_csv",
-    "generator_xyz",
     "CompositeGateParams",
     "beam_splitter",
     "composite_gate_mode_matrix",
@@ -121,14 +108,11 @@ __all__ = [
     "computational_block",
     "nearest_unitary_block",
     "extract_computational",
-    "operator_schmidt_values",
     "entangling_measure",
-    "leakage_and_measure",
     "SearchConfig",
     "SearchResult",
     "AncillaCheckReport",
     "bunched_partition",
-    "subspace_leakage",
     "dont_cause_errors_residuals",
     "block_diagonality_defect",
     "block_lemma_check",

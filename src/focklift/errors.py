@@ -2,7 +2,6 @@
 
 __all__ = [
     "InvalidInputError",
-    "DegenerateInputError",
     "ResourceLimitError",
     "LeakyGateError",
 ]
@@ -10,10 +9,6 @@ __all__ = [
 
 class InvalidInputError(ValueError):
     """Input violates a documented precondition (shape, symmetry, range)."""
-
-
-class DegenerateInputError(ValueError):
-    """Input is numerically rank-deficient where a full-rank matrix is required."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -37,7 +37,6 @@ __all__ = [
     "basis_monomial",
     "lift_via_substitution",
     "poly_to_vector",
-    "sector_product_check",
     "basis_to_jsonable",
     "lifted_to_jsonable",
     "lifted_to_csv",
@@ -217,7 +216,7 @@ class OccupationPolynomial:
 
     Terms map occupation-exponent tuples m to coefficients c_m, representing
     sum_m c_m * prod_i (a_i+)^(m_i) |vac>.  The monomials are orthogonal with
-    squared norms prod_i m_i!, which fixes ``norm_squared`` and ``inner``.
+    squared norms prod_i m_i!.
     """
 
     __slots__ = ("modes", "terms")
@@ -237,34 +236,6 @@ class OccupationPolynomial:
     def prune(self, eps: float = 1e-15) -> "OccupationPolynomial":
         self.terms = {m: c for m, c in self.terms.items() if abs(c) > eps}
         return self
-
-    def norm_squared(self) -> float:
-        return float(
-            sum(abs(c) ** 2 * math.prod(math.factorial(k) for k in m) for m, c in self.terms.items())
-        )
-
-    def inner(self, other: "OccupationPolynomial") -> complex:
-        """<self|other> over the vacuum-applied states."""
-        if self.modes != other.modes:
-            raise InvalidInputError("polynomials act on different mode counts")
-        small, big = (self.terms, other.terms) if len(self.terms) < len(other.terms) else (other.terms, self.terms)
-        acc = 0j
-        for m, c in small.items():
-            d = big.get(m)
-            if d is not None:
-                w = math.prod(math.factorial(k) for k in m)
-                if big is other.terms:
-                    acc += np.conj(c) * d * w
-                else:
-                    acc += np.conj(d) * c * w
-        return complex(acc)
-
-    def degrees(self) -> set[int]:
-        """Total photon numbers present in the polynomial."""
-        return {sum(m) for m in self.terms}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OccupationPolynomial(modes={self.modes}, terms={self.terms})"
 
 
 def basis_monomial(state: tuple[int, ...]) -> OccupationPolynomial:
@@ -319,42 +290,6 @@ def poly_to_vector(poly: OccupationPolynomial, basis: FockBasis) -> np.ndarray:
             )
         vec[basis.index(m)] = c * math.sqrt(math.prod(math.factorial(k) for k in m))
     return vec
-
-
-# ---------------------------------------------------------------------------
-# product-structure check for block-diagonal mode unitaries
-# ---------------------------------------------------------------------------
-
-def sector_product_check(v_c: np.ndarray, v_a: np.ndarray, photons: int) -> float:
-    """Residual of the factorization of phi(v_c (+) v_a) on one sector.
-
-    For a block-diagonal mode unitary the lifted matrix must factor as
-    phi[(m_c, m_a), (n_c, n_a)] = phi_c[m_c, n_c] * phi_a[m_a, n_a] whenever
-    the per-block photon numbers agree, and vanish otherwise.  Returns the
-    max entrywise deviation over the full sector.
-    """
-    v_c = require_unitary(np.asarray(v_c, dtype=complex), name="computational block")
-    v_a = require_unitary(np.asarray(v_a, dtype=complex), name="ancilla block")
-    mc, ma = v_c.shape[0], v_a.shape[0]
-    v = np.zeros((mc + ma, mc + ma), dtype=complex)
-    v[:mc, :mc] = v_c
-    v[mc:, mc:] = v_a
-    full = lift_unitary(v, photons)
-    sectors_c = lift_unitary(v_c, photons).sectors
-    sectors_a = lift_unitary(v_a, photons).sectors
-
-    def entry(sectors, m, n):
-        index = basis_enumerate(len(m), sum(m)).index
-        return sectors[sum(m)][index(m), index(n)]
-
-    worst = 0.0
-    for r, m in enumerate(full.basis.states):
-        for s, n in enumerate(full.basis.states):
-            expected = 0j
-            if sum(m[:mc]) == sum(n[:mc]):
-                expected = entry(sectors_c, m[:mc], n[:mc]) * entry(sectors_a, m[mc:], n[mc:])
-            worst = max(worst, abs(full.matrix[r, s] - expected))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
-    "frobenius",
-    "is_hermitian",
-    "is_unitary",
     "require_hermitian",
     "require_unitary",
     "hermitian_eig",
     "exp_i_hermitian",
-    "svd",
-    "polar_nearest_unitary",
     "haar_random_unitary",
 ]
 
@@ -27,28 +22,11 @@ __all__ = [
 CHECK_TOL = 1e-10
 
 
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm of a matrix (or of a difference already formed)."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def _as_square(m: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
         raise InvalidInputError(f"{name} must be a square matrix, got shape {m.shape}")
     return m
-
-
-def is_hermitian(h: np.ndarray, tol: float = CHECK_TOL) -> bool:
-    h = np.asarray(h, dtype=complex)
-    return h.ndim == 2 and h.shape[0] == h.shape[1] and frobenius(h - h.conj().T) <= tol
-
-
-def is_unitary(u: np.ndarray, tol: float = CHECK_TOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return frobenius(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
 def _within(m: np.ndarray, dev: np.ndarray, tol: float, name: str, what: str) -> np.ndarray:
@@ -96,31 +74,6 @@ def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
     or of each member of an (L, M, M) stack as for it alone."""
     w, q = hermitian_eig(h)
     return (q * np.exp(1j * w)[..., np.newaxis, :]) @ q.conj().swapaxes(-1, -2)
-
-
-def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition m = u @ diag(s) @ vh, s descending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise InvalidInputError(f"svd expects a matrix, got ndim={m.ndim}")
-    return np.linalg.svd(m)
-
-
-def polar_nearest_unitary(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
-    """Closest unitary to m in Frobenius norm (polar factor u @ vh).
-
-    The nearest unitary is unique only for full-rank input, so a smallest
-    singular value below rank_tol * largest raises DegenerateInputError.
-    Fixed points: already-unitary input is returned unchanged up to
-    floating rounding.
-    """
-    m = _as_square(m, "matrix")
-    u, s, vh = np.linalg.svd(m)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
-        raise DegenerateInputError(
-            f"polar projection undefined: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
-        )
-    return u @ vh
 
 
 def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Mode-layer objects: su(2) generators, the five-parameter composite gate,
-and triangular mesh decomposition of mode unitaries.
+"""Mode-layer objects: the five-parameter composite gate and triangular
+mesh decomposition of mode unitaries.
 
 Mode matrices act on column vectors of mode amplitudes; rows are output
 modes, columns input modes, matching the lift orientation in ``fock``.
@@ -16,7 +16,6 @@ from .errors import InvalidInputError
 from .linalg import require_unitary
 
 __all__ = [
-    "generator_xyz",
     "CompositeGateParams",
     "beam_splitter",
     "composite_gate_mode_matrix",
@@ -32,6 +31,8 @@ _TAU = 2.0 * math.pi
 _QUARTER_TURN = math.pi / 2
 # (sin, cos) at the quarter turns q = 0, 1, 2, 3 (mod 4)
 _LATTICE = np.array([(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)])
+# reck_decompose drops entries and phases this close to zero
+ZERO_EPS = 1e-14
 
 
 def exact_sin_cos(angle):
@@ -49,20 +50,6 @@ def exact_sin_cos(angle):
     s = np.where(on_lattice, sin_cos[..., 0], np.sin(angle))
     c = np.where(on_lattice, sin_cos[..., 1], np.cos(angle))
     return s[()], c[()]
-
-
-def generator_xyz() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Halved two-mode quadratic generators (X, Y, Z) with [X, Y] = iZ.
-
-    These are the single-photon matrices of (a2+a1 + a1+a2)/2,
-    i(a2+a1 - a1+a2)/2 and (n1 - n2)/2.  The composite gate below uses the
-    unhalved mixing generator so that its one-photon block carries cos(eps)
-    rather than cos(eps/2).
-    """
-    x = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    y = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-    z = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-    return x, y, z
 
 
 def _reduce_angles(angles: np.ndarray) -> np.ndarray:
@@ -111,7 +98,8 @@ class CompositeGateParams:
 
 
 def beam_splitter(epsilon: float) -> np.ndarray:
-    """Two-mode mixer exp(i*eps*(a2+a1 + a1+a2)) at the mode level."""
+    """Two-mode mixer exp(i*eps*(a2+a1 + a1+a2)); on the modes this is
+    exp(i*eps*[[0, 1], [1, 0]])."""
     s, c = exact_sin_cos(_angle(epsilon, "epsilon"))
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
@@ -182,13 +170,13 @@ def element_matrix(element: OpticalElement, dim: int) -> np.ndarray:
     return m
 
 
-def reck_decompose(v: np.ndarray, zero_eps: float = 1e-14) -> list[OpticalElement]:
+def reck_decompose(v: np.ndarray) -> list[OpticalElement]:
     """Triangular decomposition of a mode unitary into mesh elements.
 
     Nulls the below-diagonal entries row by row from the bottom with
     two-mode rotations applied from the right, leaving a diagonal phase
     layer.  Emits at most M phase shifters plus M(M-1)/2 beam splitters;
-    elements indistinguishable from the identity at zero_eps are dropped.
+    elements indistinguishable from the identity at ZERO_EPS are dropped.
     recompose(reck_decompose(v), M) reproduces v to ~1e-12 Frobenius.
     """
     v = require_unitary(np.asarray(v, dtype=complex), name="mode matrix")
@@ -199,7 +187,7 @@ def reck_decompose(v: np.ndarray, zero_eps: float = 1e-14) -> list[OpticalElemen
         for p in range(r):
             q = r
             urp = work[r, p]
-            if abs(urp) <= zero_eps:
+            if abs(urp) <= ZERO_EPS:
                 continue
             urq = work[r, q]
             th = math.atan2(abs(urp), abs(urq))
@@ -216,7 +204,7 @@ def reck_decompose(v: np.ndarray, zero_eps: float = 1e-14) -> list[OpticalElemen
     elements: list[OpticalElement] = []
     for k in range(m):
         lam = float(np.angle(work[k, k]))
-        if abs(lam) > zero_eps:
+        if abs(lam) > ZERO_EPS:
             elements.append(OpticalElement("phase-shifter", (k,), (lam,)))
     elements.extend(reversed(applied))
     return elements

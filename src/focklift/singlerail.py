@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, LeakyGateError
 from .fock import lift_unitary
-from .linalg import require_unitary
-from .modes import CompositeGateParams, composite_gate_mode_matrix, exact_sin_cos
+from .modes import CompositeGateParams, exact_sin_cos
 
 __all__ = [
     "BASIS_SIX",
@@ -38,9 +37,7 @@ __all__ = [
     "computational_block",
     "extract_computational",
     "nearest_unitary_block",
-    "operator_schmidt_values",
     "entangling_measure",
-    "leakage_and_measure",
 ]
 
 BASIS_SIX: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
@@ -51,6 +48,11 @@ _LEAK_ROWS, _LEAK_COLS = np.array(_LEAK_ENTRIES).T
 
 # 6-dim computational indices reordered to qubit order 2*n1 + n2
 _QUBIT_ORDER = np.array((0, 2, 1, 3))
+
+# leakage lists coupling entries above this magnitude
+LISTING_TOL = 1e-12
+# extract_computational refuses gates that leak more than this
+EXTRACT_TOL = 1e-9
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -111,19 +113,17 @@ def _composite_gates(angles: np.ndarray) -> np.ndarray:
     return u
 
 
-def assemble_from_mode_matrix(v: np.ndarray, check: bool = True) -> np.ndarray:
+def assemble_from_mode_matrix(v: np.ndarray) -> np.ndarray:
     """6 x 6 Fock matrix of a two-mode unitary from its lift to sectors 0..2."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise InvalidInputError(f"expected a 2 x 2 mode matrix, got {v.shape}")
-    zero, one, two = lift_unitary(v, 2, check=check).sectors
+    zero, one, two = lift_unitary(v, 2).sectors
     u = np.zeros((6, 6), dtype=complex)
     u[0, 0] = zero[0, 0]
     u[1:3, 1:3] = one
     pos = (4, 3, 5)  # two-photon sector order (2,0), (1,1), (0,2)
-    for i in range(3):
-        for j in range(3):
-            u[pos[i], pos[j]] = two[i, j]
+    u[np.ix_(pos, pos)] = two
     return u
 
 
@@ -131,15 +131,15 @@ def assemble_from_mode_matrix(v: np.ndarray, check: bool = True) -> np.ndarray:
 class LeakageReport:
     """Frobenius weight of the computational <-> bunched couplings.
 
-    ``offending`` lists (row, col, magnitude) for coupling entries above the
-    listing tolerance; the report is "decoupled" when the list is empty.
+    ``offending`` lists (row, col, magnitude) for coupling entries above
+    LISTING_TOL; the report is "decoupled" when the list is empty.
     """
 
     frobenius_leakage: float
     offending: tuple[tuple[int, int, float], ...]
 
 
-def leakage(gate: np.ndarray, listing_tol: float = 1e-12) -> LeakageReport:
+def leakage(gate: np.ndarray) -> LeakageReport:
     """Leakage of a 6 x 6 gate out of the computational subspace.
 
     For the composite gate this equals sqrt(2) * |sin(2 eps)|, which vanishes
@@ -147,7 +147,7 @@ def leakage(gate: np.ndarray, listing_tol: float = 1e-12) -> LeakageReport:
     """
     mags, total = _couplings(_finite_gate(gate, 6)[np.newaxis])
     offending = tuple((r, c, float(mag)) for (r, c), mag in zip(_LEAK_ENTRIES, mags[0])
-                      if mag > listing_tol)
+                      if mag > LISTING_TOL)
     return LeakageReport(frobenius_leakage=float(total[0]), offending=offending)
 
 
@@ -218,29 +218,18 @@ def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def extract_computational(gate: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def extract_computational(gate: np.ndarray) -> np.ndarray:
     """Two-qubit gate carried by a decoupled 6 x 6 gate.
 
-    Raises LeakyGateError when the bunched couplings exceed tol.  The block
-    is polar-projected onto the unitary group; for leakage <= tol the
-    projection moves it by O(tol) at most.
+    Raises LeakyGateError when the bunched couplings exceed EXTRACT_TOL.
+    The block is polar-projected onto the unitary group; for leakage within
+    that tolerance the projection moves it by O(EXTRACT_TOL) at most.
     """
     rep = leakage(gate)
-    if not rep.frobenius_leakage <= tol:
-        raise LeakyGateError(
-            f"gate couples to bunched states: leakage {rep.frobenius_leakage:.3e} > {tol:.1e}"
-        )
+    if not rep.frobenius_leakage <= EXTRACT_TOL:
+        raise LeakyGateError(f"gate couples to bunched states: leakage "
+                             f"{rep.frobenius_leakage:.3e} > {EXTRACT_TOL:.1e}")
     return nearest_unitary_block(gate)
-
-
-def operator_schmidt_values(gate: np.ndarray) -> np.ndarray:
-    """Operator-Schmidt coefficients of a two-qubit gate, descending.
-
-    Singular values of the reshuffled matrix R[(r1,c1),(r2,c2)] =
-    g[(r1,r2),(c1,c2)]; their squares sum to ||g||_F^2 = 4 for unitary g.
-    """
-    r = _finite_gate(gate, 4).reshape(16)[_RESHUFFLES[0]]
-    return np.linalg.svd(r, compute_uv=False)
 
 
 def entangling_measure(gate: np.ndarray):
@@ -258,11 +247,3 @@ def entangling_measure(gate: np.ndarray):
     raw = np.minimum(1.0 - (s_direct * s_direct) / 4.0, 1.0 - (s_swapped * s_swapped) / 4.0)
     measure = np.maximum(0.0, raw)
     return float(measure[0]) if gate.ndim == 2 else measure
-
-
-def leakage_and_measure(params: CompositeGateParams) -> tuple[float, float]:
-    """Convenience pair (leakage, lenient entangling measure) of one composite gate."""
-    gate = composite_gate_fock(params)
-    rep = leakage(gate)
-    measure = entangling_measure(nearest_unitary_block(gate))
-    return rep.frobenius_leakage, measure

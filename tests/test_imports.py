@@ -1,4 +1,7 @@
-"""No focklift command loads scipy.optimize.
+"""The package's public surface, and no focklift command loads scipy.optimize.
+
+``focklift.__all__`` is pinned name by name, so a name joins or leaves the
+public surface only on purpose.
 
 The no-go searches run an in-package Nelder-Mead, and scipy.optimize takes
 about half a second to import, so neither ``import focklift`` nor any
@@ -6,10 +9,46 @@ command may load it.  Each check runs in a fresh interpreter, because this
 test process may have loaded it.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import focklift
+
+SUBMODULES = ["errors", "linalg", "permanent", "fock", "modes", "singlerail", "nogo"]
+
+PUBLIC = [
+    "AncillaCheckReport", "BASIS_SIX", "CompositeGateParams", "FockBasis", "InvalidInputError",
+    "LeakageReport", "LeakyGateError", "LiftedUnitary", "OccupationPolynomial",
+    "OpticalElement", "ResourceLimitError", "SWAP", "SearchConfig", "SearchResult",
+    "__version__", "assemble_from_mode_matrix", "basis_enumerate", "basis_monomial",
+    "basis_to_jsonable", "beam_splitter", "block_diagonality_defect", "block_lemma_check",
+    "bunched_partition", "composite_gate_fock", "composite_gate_mode_matrix",
+    "computational_block", "decoupled_form_even", "decoupled_form_odd",
+    "dont_cause_errors_residuals", "element_matrix", "elements_from_jsonable",
+    "elements_to_jsonable", "entangling_measure", "exp_i_hermitian", "extract_computational",
+    "haar_random_unitary", "hermitian_eig", "leakage", "lift_unitary", "lift_via_substitution",
+    "lifted_to_csv", "lifted_to_jsonable", "nearest_unitary_block", "nogo_search_ancilla",
+    "nogo_search_two_mode", "permanent", "poly_to_vector", "reck_decompose", "recompose",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(focklift.__all__) == PUBLIC
+
+
+def test_every_exported_name_resolves_to_its_submodule_object():
+    # focklift.permanent is the function, so submodules come from importlib
+    home = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"focklift.{name}")
+        for attr in module.__all__:
+            home[attr] = getattr(module, attr)
+    for attr in focklift.__all__:
+        if attr != "__version__":
+            assert getattr(focklift, attr) is home[attr], attr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -10,11 +10,12 @@ import pytest
 
 import focklift.nogo
 from focklift.errors import InvalidInputError, ResourceLimitError
-from focklift.fock import lift_unitary
+from focklift.fock import lift_unitary, LiftedUnitary
 from focklift.linalg import haar_random_unitary
 from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
     _AncillaFamily,
+    _coupling_mask,
     _penalty_levels,
     _project_feasible,
     _run_chunk,
@@ -29,7 +30,6 @@ from focklift.nogo import (
     nogo_search_two_mode,
     SearchConfig,
     SearchResult,
-    subspace_leakage,
 )
 from focklift.singlerail import (
     composite_gate_fock,
@@ -73,6 +73,13 @@ def test_partition_counts_and_disjointness():
 def test_partition_needs_two_rails():
     with pytest.raises(InvalidInputError):
         bunched_partition(1, 2)
+
+
+def subspace_leakage(lifted: LiftedUnitary) -> float:
+    """Frobenius weight of the computational <-> bunched couplings of a
+    lifted matrix (both directions)."""
+    mask = _coupling_mask(lifted.basis.modes, lifted.basis.photons)
+    return float(np.linalg.norm(lifted.matrix[mask]))
 
 
 def test_subspace_leakage_matches_two_mode_law():
@@ -348,6 +355,22 @@ def test_ancilla_eval_flags_rail_mixing():
     family = ancilla_family(3)
     (_, constraint), = family.rate(v[np.newaxis])[0]
     assert constraint > 1.0
+
+
+@pytest.mark.parametrize("modes, ancilla_photons", [(3, 0), (4, 1), (4, 2), (5, 2)])
+def test_ancilla_rows_have_a_gauge_on_the_output_ancillas(modes, ancilla_photons):
+    # (1_2 (+) B) V keeps the rail rows V[:2, :], which are all the scores
+    # depend on; V (1_2 (+) B) mixes the input ancilla modes instead, which
+    # changes the scores once an ancilla photon has somewhere to go
+    rng = np.random.default_rng(69)
+    family = ancilla_family(modes, ancilla_photons)
+    v = np.array([haar_random_unitary(modes, rng) for _ in range(20)])
+    gauge = np.tile(np.eye(modes, dtype=complex), (20, 1, 1))
+    gauge[:, 2:, 2:] = [haar_random_unitary(modes - 2, rng) for _ in range(20)]
+    rows = family.rows(v)
+    assert np.max(np.abs(family.rows(gauge @ v) - rows)) <= 1e-13
+    if modes > 3:
+        assert np.all(np.max(np.abs(family.rows(v @ gauge) - rows), axis=1) > 1e-3)
 
 
 def test_ancilla_objective_matches_golden_values():

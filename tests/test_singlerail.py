@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from focklift.errors import InvalidInputError, LeakyGateError
-from focklift.linalg import haar_random_unitary, is_unitary
+from focklift.linalg import haar_random_unitary, require_unitary
 from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
 from focklift.singlerail import (
+    _finite_gate,
+    _RESHUFFLES,
     BASIS_SIX,
     assemble_from_mode_matrix,
     composite_gate_fock,
@@ -16,9 +18,7 @@ from focklift.singlerail import (
     entangling_measure,
     extract_computational,
     leakage,
-    leakage_and_measure,
     nearest_unitary_block,
-    operator_schmidt_values,
 )
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
@@ -29,6 +29,16 @@ CNOT[2:, 2:] = [[0, 1], [1, 0]]
 
 def random_params(rng):
     return CompositeGateParams(*rng.uniform(-math.pi, math.pi, size=5))
+
+
+def operator_schmidt_values(gate: np.ndarray) -> np.ndarray:
+    """Operator-Schmidt coefficients of a two-qubit gate, descending.
+
+    Singular values of the reshuffled matrix R[(r1,c1),(r2,c2)] =
+    g[(r1,r2),(c1,c2)]; their squares sum to ||g||_F^2 = 4 for unitary g.
+    """
+    r = _finite_gate(gate, 4).reshape(16)[_RESHUFFLES[0]]
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def test_basis_ordering():
@@ -54,7 +64,7 @@ def test_gate_is_unitary_and_vacuum_preserving():
     rng = np.random.default_rng(31)
     for _ in range(20):
         u = composite_gate_fock(random_params(rng))
-        assert is_unitary(u)
+        require_unitary(u)
         assert u[0, 0] == 1.0
         assert np.max(np.abs(u[0, 1:])) == 0.0
         assert np.max(np.abs(u[1:, 0])) == 0.0
@@ -107,9 +117,9 @@ def test_leakage_report_entries():
                          ids=["nan", "inf", "imag-inf"])
 @pytest.mark.parametrize("fn, dim", [
     (leakage, 6), (computational_block, 6), (extract_computational, 6),
-    (nearest_unitary_block, 6), (operator_schmidt_values, 4), (entangling_measure, 4),
+    (nearest_unitary_block, 6), (entangling_measure, 4),
 ], ids=["leakage", "computational_block", "extract_computational",
-        "nearest_unitary_block", "operator_schmidt_values", "entangling_measure"])
+        "nearest_unitary_block", "entangling_measure"])
 def test_non_finite_gates_fail_closed(fn, dim, bad):
     # on a 6 x 6 gate the bad entry sits on a bunched coupling, |11> -> |20>
     gate = np.eye(dim, dtype=complex)
@@ -187,7 +197,7 @@ def test_extract_computational_raises_on_leaky_gates():
         extract_computational(leaky)
     clean = decoupled_form_odd(0, 0.1, 0.2, 0.3, 0.4)
     block = extract_computational(clean)
-    assert is_unitary(block)
+    require_unitary(block)
 
 
 def test_nearest_unitary_block_is_unitary_and_faithful_when_decoupled():
@@ -195,7 +205,7 @@ def test_nearest_unitary_block_is_unitary_and_faithful_when_decoupled():
     near = nearest_unitary_block(clean)
     assert np.max(np.abs(near - computational_block(clean))) < 1e-12
     leaky = composite_gate_fock(CompositeGateParams(0.3, 0.1, -0.2, 0.8, 0.77))
-    assert is_unitary(nearest_unitary_block(leaky))
+    require_unitary(nearest_unitary_block(leaky))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +260,3 @@ def test_entangling_measure_range_and_local_invariance():
         local_l = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
         local_r = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
         assert entangling_measure(local_l @ g @ local_r) == pytest.approx(m, abs=1e-10)
-
-
-def test_leakage_and_measure_pair():
-    p = CompositeGateParams(0.3, -0.4, 0.8, 1.2, 0.6)
-    leak, meas = leakage_and_measure(p)
-    assert leak == pytest.approx(leakage(composite_gate_fock(p)).frobenius_leakage)
-    assert meas == pytest.approx(
-        entangling_measure(nearest_unitary_block(composite_gate_fock(p))))
