@@ -48,6 +48,7 @@ __all__ = [
 # itself (each sector also costs ~2 KB of tables, which on one mode
 # dominate its single entry).
 MAX_BASIS_SIZE = 10_000
+PRUNE_EPS = 1e-15  # OccupationPolynomial.prune drops terms with coefficients this small
 
 
 def _occupations(modes: int, photons: int):
@@ -233,8 +234,8 @@ class OccupationPolynomial:
                 if c != 0:
                     self.terms[tuple(int(k) for k in m)] = complex(c)
 
-    def prune(self, eps: float = 1e-15) -> "OccupationPolynomial":
-        self.terms = {m: c for m, c in self.terms.items() if abs(c) > eps}
+    def prune(self) -> "OccupationPolynomial":
+        self.terms = {m: c for m, c in self.terms.items() if abs(c) > PRUNE_EPS}
         return self
 
 

@@ -39,22 +39,20 @@ def _within(m: np.ndarray, dev: np.ndarray, tol: float, name: str, what: str) ->
     return m
 
 
-def require_hermitian(h: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix",
-                      stack: bool = False) -> np.ndarray:
-    """h, or with stack=True each member of an (L, M, M) stack, Hermitian to tol."""
-    h = _as_square(h, name, stack)
+def require_hermitian(h: np.ndarray, stack: bool = False) -> np.ndarray:
+    """h, or with stack=True each member of an (L, M, M) stack, Hermitian to CHECK_TOL."""
+    h = _as_square(h, "matrix", stack)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
         dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return _within(h, dev, tol, name, "Hermitian: ||h - h^dag||")
+    return _within(h, dev, CHECK_TOL, "matrix", "Hermitian: ||h - h^dag||")
 
 
-def require_unitary(u: np.ndarray, tol: float = CHECK_TOL, name: str = "matrix",
-                    stack: bool = False) -> np.ndarray:
-    """u, or with stack=True each member of an (L, M, M) stack, unitary to tol."""
+def require_unitary(u: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """u, or with stack=True each member of an (L, M, M) stack, unitary to CHECK_TOL."""
     u = _as_square(u, name, stack)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
         dev = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
-    return _within(u, dev, tol, name, "unitary: ||u^dag u - 1||")
+    return _within(u, dev, CHECK_TOL, name, "unitary: ||u^dag u - 1||")
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

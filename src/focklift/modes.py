@@ -54,11 +54,10 @@ def exact_sin_cos(angle):
 
 def _reduce_angles(angles: np.ndarray) -> np.ndarray:
     """Reduce finite angles to (-pi, pi] exactly: fmod is exact, and so is
-    the shift by 2pi of a result beyond +-pi (Sterbenz's lemma)."""
+    the shift by 2pi of a result beyond pi or at or below -pi (Sterbenz's
+    lemma), which takes -pi to pi."""
     r = np.fmod(angles, _TAU)
-    r = np.where(r > math.pi, r - _TAU, r)
-    r = np.where(r < -math.pi, r + _TAU, r)
-    return np.where(r == -math.pi, math.pi, r)
+    return np.where(r > math.pi, r - _TAU, np.where(r <= -math.pi, r + _TAU, r))
 
 
 def _angle(value, name: str) -> float:
@@ -90,8 +89,8 @@ class CompositeGateParams:
     def __post_init__(self):
         names = ("alpha", "beta", "gamma", "delta", "epsilon")
         angles = np.array([_angle(getattr(self, name), name) for name in names])
-        for name, angle in zip(names, _reduce_angles(angles)):
-            object.__setattr__(self, name, float(angle))
+        for name, angle in zip(names, _reduce_angles(angles).tolist()):
+            object.__setattr__(self, name, angle)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)

@@ -18,13 +18,12 @@ feasible manifold; ``_search`` owns the penalty ladder, restarts, trace and
 selection, so the reported constrained optimum is a max over genuinely
 feasible points and can only under-report the certificate.
 
-The optimizer is an in-package adaptive Nelder-Mead written as a
-generator, so the restarts of a search advance together and every step
-scores all their pending points in one call on a stack; both families
-score the whole stack at once, each row bit for bit as for its point
-alone.  A restart's path does not depend on the restarts it is stacked
-with, and its trace entry records the evaluations, iterations and stop
-status.
+The optimizer is an in-package adaptive Nelder-Mead that holds a chunk's
+restarts as arrays and advances them together: every round scores all
+their pending points in one call on a stack, and both families score the
+whole stack at once, each row bit for bit as for its point alone.  A
+restart's path does not depend on the restarts it is stacked with, and its
+trace entry records the evaluations, iterations and stop status.
 
 The ancilla certificate at the 1e-10 tolerance comes from projected
 candidates, which entangle nothing by construction: no optimizer endpoint
@@ -275,17 +274,9 @@ class SearchResult:
     wall_time: float
 
     def to_jsonable(self, include_timing: bool = True) -> dict:
-        out = {
-            "constrained": self.constrained,
-            "best_entangling_measure": self.best_entangling_measure,
-            "best_leakage": self.best_leakage,
-            "best_parameters": list(self.best_parameters),
-            "best_candidate": self.best_candidate,
-            "restart_trace": self.restart_trace,
-            "feasible": self.feasible,
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
+        out = asdict(self)
+        if not include_timing:
+            del out["wall_time"]
         return out
 
 
@@ -313,112 +304,133 @@ def _penalty_levels(cfg: SearchConfig) -> list[float]:
 _XATOL = 1e-12
 _FATOL = 1e-14
 
+# kinds of a run's pending evaluation, then the two ends of an iteration:
+# the scored point replaces the worst vertex, or the shrunk vertices are scored
+_REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _ACCEPT, _SHRUNK = range(7)
+# the step after a pending point of each kind scores f, by the flags 8 (f < best),
+# 4 (f < second-worst), 2 (f < worst vertex value) and 1 (f <= the reflection's)
+_NEXT = np.array([[_INSIDE] * 2 + [_OUTSIDE] * 2 + [_ACCEPT] * 4 + [_EXPAND] * 8,
+                  [_ACCEPT] * 16,  # to the expansion, or back to the reflection
+                  [_SHRINK, _ACCEPT] * 8,
+                  [_SHRINK, _SHRINK, _ACCEPT, _ACCEPT] * 4,
+                  [_SHRUNK] * 16])
 
-class _EvaluationCap(Exception):
-    """The evaluation budget ran out before the next objective call."""
 
-
-def _nelder_mead(x0: np.ndarray, maxiter: int, maxfev: int):
-    """Adaptive Nelder-Mead (Gao & Han 2012) as a generator: ``fx = yield x``
-    asks for the objective at x, and it returns (x, nfev, nit, status), status
-    0 converged, 1 evaluation cap, 2 iteration cap.  A step-for-step port of
-    the adaptive branch of ``optimize._minimize_neldermead`` 1.17 with its
-    default initial simplex and rho = 1 folded in: the tests require the same
-    x, nfev, nit and status, caps reached part-way through a step included.
-    """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationCap
-        nfev += 1
-        return (yield x)
-
-    n = len(x0)
+def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
+    """Adaptive Nelder-Mead (Gao & Han 2012) minimizing objective from each
+    row of an (R, n) stack of start points; objective(xs, owner) values the
+    points xs of runs owner.
+    Returns the (R, n) ends and per run nfev, nit and status (0 converged, 1
+    evaluation cap, 2 iteration cap), bit for bit those of the adaptive
+    ``optimize._minimize_neldermead`` 1.17 (rho = 1 folded in), caps reached
+    part-way through a step included.  The runs are held as arrays; each
+    round scores every live run's pending points in one objective call and
+    advances all runs with the same array operations, and a run that stops
+    leaves the arrays."""
+    runs, n = x0.shape
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = yield from f(sim[k])
-    except _EvaluationCap:
-        pass
-    for _ in range(2):  # argsort is not stable: sorted twice, as in the source
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = yield from f(xr)
-            if fxr < fsim[0]:  # expand
-                xe = (1 + chi) * xbar - chi * sim[-1]
-                fxe = yield from f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:  # reflect
-                sim[-1], fsim[-1] = xr, fxr
-            else:  # contract outside, or inside; shrink when that fails
-                if fxr < fsim[-1]:
-                    xc = (1 + psi) * xbar - psi * sim[-1]
-                    fxc = yield from f(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = yield from f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = yield from f(sim[j])
-            iterations += 1
-        except _EvaluationCap:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    status = 1 if nfev >= maxfev else 2 if iterations >= maxiter else 0
-    return sim[0], nfev, iterations, status
+    # a trial point is a * xbar + b * worst vertex, (a, b) = coef[:, kind]
+    # (-1 * w and -chi * w are exact negations); a shrink has none
+    coef = np.array([[2, 1 + chi, 1 + psi, 1 - psi, 0], [-1, -chi, -psi, psi, 0]])[..., None]
+    axis, vertices = np.arange(n), np.arange(n + 1)
+    sim = np.repeat(x0[:, None], n + 1, axis=1)
+    sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    # the initial simplex is cut at the cap, and unscored vertices keep inf
+    first = min(n + 1, maxfev)
+    fsim = np.full((runs, n + 1), np.inf)
+    fsim[:, :first] = objective(sim[:, :first].reshape(-1, n),
+                                np.repeat(np.arange(runs), first)).reshape(runs, first)
+    ids, nfev, nit = np.arange(runs), np.full(runs, first), np.ones(runs, dtype=int)
+    # argsort is not stable: sorted here and again in the first round, as in the source
+    base = ids[:, None] * (n + 1)  # each run's first vertex in the flattened sim, fsim
+    order = fsim.argsort(axis=1) + base
+    sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
+    edges = (vertices == 0) * 8 + (vertices == n - 1) * 4 + (vertices == n) * 2
+    kind, fxr, ended = np.zeros(runs, dtype=np.intp), np.zeros(runs), np.ones(runs, dtype=bool)
+    x, nfev_at, nit_at = np.empty((runs, n)), np.empty(runs, dtype=int), np.empty(runs, dtype=int)
+    while True:
+        if np.count_nonzero(ended):
+            # sort the runs that ended an iteration; stop those capped or converged
+            order = np.where(ended[:, None], fsim.argsort(axis=1), vertices) + base
+            sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
+            # a capped run has ended an iteration; sorted values spread over last - first
+            capped = (nfev >= maxfev) | (nit >= maxiter)
+            stop = capped | (fsim[:, -1] - fsim[:, 0] <= _FATOL)
+            if np.count_nonzero(stop):
+                stop &= capped | ended & (abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+            if np.count_nonzero(stop):
+                done = ids[stop]
+                x[done], nfev_at[done], nit_at[done] = sim[stop, 0], nfev[stop], nit[stop]
+                ids, sim, fsim, kind, fxr, nfev, nit, ended = (
+                    a[~stop] for a in (ids, sim, fsim, kind, fxr, nfev, nit, ended))
+                if not ids.size:
+                    break
+                base = base[:ids.size]
+            np.copyto(kind, _REFLECT, where=ended)
+            xbar = sim[:, :-1].sum(axis=1) / n  # as it was for runs mid-iteration
+        kinds = kind.tolist()
+        if not any(kinds):  # every run at a reflection, as in most rounds
+            point = 2 * xbar - sim[:, -1]
+            f = fxr = objective(point, ids)
+            nfev += 1
+            step = _NEXT[_REFLECT].take((f[:, None] < fsim) @ edges)
+        else:
+            a, b = coef.take(kind, axis=1)
+            point = a * xbar + b * sim[:, -1]
+            if _SHRINK in kinds:
+                # the shrunk vertices the budget reaches, in the source's order
+                single = kind != _SHRINK
+                shrunk = ~single[:, None] & (axis < maxfev - nfev[:, None])
+                f = np.zeros(ids.size)
+                f[single], fsim[:, 1:][shrunk] = np.split(objective(
+                    np.concatenate([point[single], sim[:, 1:][shrunk]]),
+                    np.concatenate([ids[single], ids[np.nonzero(shrunk)[0]]])), [single.sum()])
+                nfev += single + shrunk.sum(axis=1)
+                nit += shrunk.sum(axis=1) == n
+            else:
+                f = objective(point, ids)
+                nfev += 1
+            if _REFLECT in kinds:
+                np.copyto(fxr, f, where=kind == _REFLECT)
+            step = _NEXT[kind, (f[:, None] < fsim) @ edges + (f <= fxr)]
+            if _EXPAND in kinds:
+                # an expansion no better than its reflection keeps the reflection
+                keep_xr = (kind == _EXPAND) & ~(f < fxr)
+                np.copyto(point, 2 * xbar - sim[:, -1], where=keep_xr[:, None])
+                np.copyto(f, fxr, where=keep_xr)
+            if _SHRINK in step.tolist():
+                # move the vertices the budget reaches and the next, which keeps a stale value
+                moved = (step == _SHRINK)[:, None] & (axis <= maxfev - nfev[:, None])
+                sim[:, 1:][moved] = (sim[:, :1] + sigma * (sim[:, 1:] - sim[:, :1]))[moved]
+        accept = step == _ACCEPT
+        np.copyto(sim[:, -1], point, where=accept[:, None])
+        np.copyto(fsim[:, -1], f, where=accept)
+        nit += accept
+        # a step the budget cannot pay for ends the iteration unfinished
+        ended = (step >= _ACCEPT) | (nfev >= maxfev)
+        kind = step
+    return x, nfev_at, nit_at, np.where(nfev_at >= maxfev, 1, np.where(nit_at >= maxiter, 2, 0))
 
 
 def _run_chunk(args: tuple) -> list[tuple[dict, list[_Candidate]]]:
     """Nelder-Mead runs of measure - mu * constraint for restarts lo..hi-1,
-    advanced together: each step scores the pending points of all runs in
-    one family.scores call on their stack, and each run sees only its own
-    values.  Per restart, its trace entry and candidates (endpoint and
-    feasible point)."""
+    advanced together: each round scores the pending points of all runs in
+    one family.scores call, and each run sees only its own values.  Per
+    restart, its trace entry and candidates (endpoint and feasible point)."""
     family, cfg, mus, lo, hi = args
-    runs = {r: _nelder_mead(family.start(_task_rng(cfg.seed, r)), cfg.max_iterations,
-                            4 * cfg.max_iterations) for r in range(lo, hi)}
-    results, points = {}, {}
+    mu = np.array(mus[lo:hi])
 
-    def advance(r, fx):
-        try:
-            points[r] = runs[r].send(fx)
-        except StopIteration as stop:
-            results[r] = stop.value
-            points.pop(r, None)
+    def objective(xs, owner):
+        scores = family.scores(xs)
+        return mu.take(owner) * scores[:, 1] - scores[:, 0]
 
-    for r in runs:
-        advance(r, None)
-    while points:
-        pending = list(points)
-        scores = family.scores(np.array([points[r] for r in pending]))
-        mu = np.array([mus[r] for r in pending])
-        for r, fx in zip(pending, -(scores[:, 0] - mu * scores[:, 1])):
-            advance(r, fx)
-    ends = np.array([results[r][0] for r in runs])
+    starts = np.array([family.start(_task_rng(cfg.seed, r)) for r in range(lo, hi)])
+    ends, *counts = _nelder_mead(objective, starts, cfg.max_iterations, 4 * cfg.max_iterations)
     params, feasible = family.feasible(ends)
     out = []
-    for r, end, p, feas in zip(runs, family.scores(ends).tolist(), params, feasible.tolist()):
-        x, nfev, nit, status = results[r]
+    for r, x, end, p, feas, nfev, nit, status in zip(
+            range(lo, hi), ends, family.scores(ends).tolist(), params, feasible.tolist(),
+            *(c.tolist() for c in counts)):
         entry = {"restart": r, "mu": mus[r], "measure": end[0], "leakage": end[1],
                  f"{family.kind}_measure": feas[0], f"{family.kind}_leakage": feas[1],
                  "nfev": nfev, "nit": nit, "status": status}

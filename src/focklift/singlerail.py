@@ -64,6 +64,18 @@ _RESHUFFLES = np.stack([np.arange(16).reshape(2, 2, 2, 2).transpose(axes)
                         for axes in ((0, 2, 1, 3), (1, 2, 0, 3))]).reshape(2, 4, 4)
 
 
+# the composite gate's 13 phase entries as flat indices 6 * row + column,
+# grouped by the steps after their phase (i e^{i.} s, i e^{i.} s2 / sqrt2,
+# e^{i.} c or c2, e^{2i.} c c, -e^{2i.} s s); entry k's phase is i or 2i times
+# the left-to-right sum of (a, b, g, d, 2a, 2b, 2g, 2d, 0) at _PHASE_TERMS[:, k]
+_GATE_ENTRIES = np.array([(1, 2), (2, 1), (3, 4), (3, 5), (4, 3), (5, 3), (1, 1), (2, 2),
+                          (3, 3), (4, 4), (5, 5), (4, 5), (5, 4)]) @ (6, 1)
+_PHASE_TERMS = np.array([(0, 3, 8, 8), (1, 2, 8, 8), (0, 1, 6, 8), (0, 1, 7, 8), (4, 2, 3, 8),
+                         (5, 2, 3, 8), (0, 2, 8, 8), (1, 3, 8, 8), (0, 1, 2, 3), (0, 2, 8, 8),
+                         (1, 3, 8, 8), (0, 3, 8, 8), (1, 2, 8, 8)]).T
+_PHASE_UNITS = np.array([1j] * 9 + [2j] * 4)[:, np.newaxis]
+
+
 def _finite_gate(gate: np.ndarray, dim: int, stack: bool = False) -> np.ndarray:
     """gate as a complex dim x dim array, or with stack=True also an
     (L, dim, dim) stack; non-finite entries fail closed."""
@@ -89,27 +101,21 @@ def composite_gate_fock(params: CompositeGateParams) -> np.ndarray:
 
 def _composite_gates(angles: np.ndarray) -> np.ndarray:
     """(L, 6, 6) composite gates of an (L, 5) stack of angles (alpha, beta,
-    gamma, delta, epsilon) in the range CompositeGateParams reduces to."""
-    a, b, g, d, e = angles.T
-    s, c = exact_sin_cos(e)
+    gamma, delta, epsilon) in the range CompositeGateParams reduces to.
+    Each entry takes the floating-point steps of the closed form above."""
+    s, c = exact_sin_cos(angles[:, 4])
     # double angles as products so quarter-turn zeros stay literal
     s2, c2 = 2.0 * s * c, c * c - s * s
-    ph = np.exp
+    terms = np.concatenate([angles.T[:4], 2 * angles.T[:4], np.zeros((1, len(angles)))])
+    z = np.exp(_PHASE_UNITS * np.add.reduce(terms[_PHASE_TERMS], axis=0))
+    z[:6] *= 1j
+    np.negative(z[11:], out=z[11:])
+    z *= np.array([s, s, s2, s2, s2, s2, c, c, c2, c, c, s, s])
+    z[2:6] /= math.sqrt(2)
+    z[9:] *= np.array([c, c, s, s])
     u = np.zeros((len(angles), 6, 6), dtype=complex)
     u[:, 0, 0] = 1.0
-    u[:, 1, 1] = ph(1j * (a + g)) * c
-    u[:, 1, 2] = 1j * ph(1j * (a + d)) * s
-    u[:, 2, 1] = 1j * ph(1j * (b + g)) * s
-    u[:, 2, 2] = ph(1j * (b + d)) * c
-    u[:, 3, 3] = ph(1j * (a + b + g + d)) * c2
-    u[:, 3, 4] = 1j * ph(1j * (a + b + 2 * g)) * s2 / math.sqrt(2)
-    u[:, 3, 5] = 1j * ph(1j * (a + b + 2 * d)) * s2 / math.sqrt(2)
-    u[:, 4, 3] = 1j * ph(1j * (2 * a + g + d)) * s2 / math.sqrt(2)
-    u[:, 5, 3] = 1j * ph(1j * (2 * b + g + d)) * s2 / math.sqrt(2)
-    u[:, 4, 4] = ph(2j * (a + g)) * c * c
-    u[:, 4, 5] = -ph(2j * (a + d)) * s * s
-    u[:, 5, 4] = -ph(2j * (b + g)) * s * s
-    u[:, 5, 5] = ph(2j * (b + d)) * c * c
+    u.reshape(-1, 36)[:, _GATE_ENTRIES] = z.T
     return u
 
 

@@ -637,6 +637,61 @@ def test_nelder_mead_matches_the_reference_bit_for_bit():
     assert {0, 1, 2} <= set(statuses)
 
 
+def packaged_search(name):
+    """A packaged config and its penalty ladder, one weight per restart."""
+    raw = json.loads(resources.files("focklift").joinpath("configs", f"{name}.json").read_text())
+    cfg = SearchConfig.from_jsonable(raw)
+    levels = _penalty_levels(cfg)
+    return cfg, [levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
+                 for r in range(cfg.restarts)]
+
+
+def test_a_restart_ends_the_same_alone_as_among_others():
+    # runs leave the chunk's arrays as they stop, so a run alone and the
+    # same run among others that stop before or after it must agree
+    cfg, ladder = packaged_search("two_mode")
+    full = _run_chunk((_TwoModeFamily(), cfg, ladder, 0, cfg.restarts))
+    converged = sorted((entry["nit"], r) for r, (entry, _) in enumerate(full)
+                       if entry["status"] == 0)
+    capped = [r for r, (entry, _) in enumerate(full) if entry["status"] == 2]
+    assert converged and capped
+    for r in [converged[0][1], converged[-1][1]] + capped[::12]:
+        assert _run_chunk((_TwoModeFamily(), cfg, ladder, r, r + 1)) == [full[r]]
+    # every run alone, where ties, shrinks and both caps stop runs in many rounds
+    mus = [0.0, 10.0, 1e5] * 4
+    for family in (_TwoModeFamily(), StepFamily()):
+        for max_iterations in (7, 40):
+            cfg = SearchConfig(max_iterations=max_iterations, seed=73)
+            chunk = _run_chunk((family, cfg, mus, 0, len(mus)))
+            for r in range(len(mus)):
+                assert _run_chunk((family, cfg, mus, r, r + 1)) == [chunk[r]]
+    cfg = SearchConfig(modes=3, restarts=3, max_iterations=150, seed=71)
+    family, mus = ancilla_family(3), [10.0, 1e3, 0.0]
+    chunk = _run_chunk((family, cfg, mus, 0, 3))
+    assert len({entry["nfev"] for entry, _ in chunk}) == 3
+    for r in range(3):
+        assert _run_chunk((family, cfg, mus, r, r + 1)) == [chunk[r]]
+
+
+@pytest.mark.parametrize("make_family", [_TwoModeFamily, StepFamily], ids=["two_mode", "step"])
+@pytest.mark.parametrize("max_iterations", [1, 2, 40])
+def test_a_chunk_scores_each_round_in_one_call(make_family, max_iterations):
+    # every initial simplex goes in the first call, and a shrink's vertices
+    # in one call with the other runs' points; the last two calls score the
+    # endpoints and their feasible points
+    family = make_family()
+    sizes, scores = [], family.scores
+    family.scores = lambda xs: (sizes.append(len(xs)), scores(xs))[1]
+    cfg = SearchConfig(max_iterations=max_iterations, seed=72)
+    chunk = _run_chunk((family, cfg, [0.0, 10.0, 1e5], 0, 3))
+    nfev = [entry["nfev"] for entry, _ in chunk]
+    assert sizes[0] == 3 * min(6, 4 * max_iterations)
+    assert sum(sizes[:-2]) == sum(nfev)
+    assert len(sizes) <= max(nfev) + 2
+    if max_iterations == 40 and family.kind == "step":
+        assert max(sizes[1:-2]) > 3  # at least one shrink
+
+
 def two_mode_rows(seed, count):
     """count random angle rows, then edge rows: the mixing angle on
     multiples of pi/2 (and -0.0, a hair off zero, pi/4), phases +-pi, 0
