@@ -274,9 +274,17 @@ class SearchResult:
     wall_time: float
 
     def to_jsonable(self, include_timing: bool = True) -> dict:
-        out = asdict(self)
-        if not include_timing:
-            del out["wall_time"]
+        out = {
+            "constrained": self.constrained,
+            "best_entangling_measure": self.best_entangling_measure,
+            "best_leakage": self.best_leakage,
+            "best_parameters": list(self.best_parameters),
+            "best_candidate": self.best_candidate,
+            "restart_trace": self.restart_trace,
+            "feasible": self.feasible,
+        }
+        if include_timing:
+            out["wall_time"] = self.wall_time
         return out
 
 
@@ -369,39 +377,32 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
             np.copyto(kind, _REFLECT, where=ended)
             xbar = sim[:, :-1].sum(axis=1) / n  # as it was for runs mid-iteration
         kinds = kind.tolist()
-        if not any(kinds):  # every run at a reflection, as in most rounds
-            point = 2 * xbar - sim[:, -1]
-            f = fxr = objective(point, ids)
-            nfev += 1
-            step = _NEXT[_REFLECT].take((f[:, None] < fsim) @ edges)
+        a, b = coef.take(kind, axis=1)
+        point = a * xbar + b * sim[:, -1]
+        if _SHRINK in kinds:
+            # the shrunk vertices the budget reaches, in the source's order
+            single = kind != _SHRINK
+            shrunk = ~single[:, None] & (axis < maxfev - nfev[:, None])
+            f = np.zeros(ids.size)
+            f[single], fsim[:, 1:][shrunk] = np.split(objective(
+                np.concatenate([point[single], sim[:, 1:][shrunk]]),
+                np.concatenate([ids[single], ids[np.nonzero(shrunk)[0]]])), [single.sum()])
+            nfev += single + shrunk.sum(axis=1)
+            nit += shrunk.sum(axis=1) == n
         else:
-            a, b = coef.take(kind, axis=1)
-            point = a * xbar + b * sim[:, -1]
-            if _SHRINK in kinds:
-                # the shrunk vertices the budget reaches, in the source's order
-                single = kind != _SHRINK
-                shrunk = ~single[:, None] & (axis < maxfev - nfev[:, None])
-                f = np.zeros(ids.size)
-                f[single], fsim[:, 1:][shrunk] = np.split(objective(
-                    np.concatenate([point[single], sim[:, 1:][shrunk]]),
-                    np.concatenate([ids[single], ids[np.nonzero(shrunk)[0]]])), [single.sum()])
-                nfev += single + shrunk.sum(axis=1)
-                nit += shrunk.sum(axis=1) == n
-            else:
-                f = objective(point, ids)
-                nfev += 1
-            if _REFLECT in kinds:
-                np.copyto(fxr, f, where=kind == _REFLECT)
-            step = _NEXT[kind, (f[:, None] < fsim) @ edges + (f <= fxr)]
-            if _EXPAND in kinds:
-                # an expansion no better than its reflection keeps the reflection
-                keep_xr = (kind == _EXPAND) & ~(f < fxr)
-                np.copyto(point, 2 * xbar - sim[:, -1], where=keep_xr[:, None])
-                np.copyto(f, fxr, where=keep_xr)
-            if _SHRINK in step.tolist():
-                # move the vertices the budget reaches and the next, which keeps a stale value
-                moved = (step == _SHRINK)[:, None] & (axis <= maxfev - nfev[:, None])
-                sim[:, 1:][moved] = (sim[:, :1] + sigma * (sim[:, 1:] - sim[:, :1]))[moved]
+            f = objective(point, ids)
+            nfev += 1
+        np.copyto(fxr, f, where=kind == _REFLECT)
+        step = _NEXT[kind, (f[:, None] < fsim) @ edges + (f <= fxr)]
+        if _EXPAND in kinds:
+            # an expansion no better than its reflection keeps the reflection
+            keep_xr = (kind == _EXPAND) & ~(f < fxr)
+            np.copyto(point, 2 * xbar - sim[:, -1], where=keep_xr[:, None])
+            np.copyto(f, fxr, where=keep_xr)
+        if _SHRINK in step.tolist():
+            # move the vertices the budget reaches and the next, which keeps a stale value
+            moved = (step == _SHRINK)[:, None] & (axis <= maxfev - nfev[:, None])
+            sim[:, 1:][moved] = (sim[:, :1] + sigma * (sim[:, 1:] - sim[:, :1]))[moved]
         accept = step == _ACCEPT
         np.copyto(sim[:, -1], point, where=accept[:, None])
         np.copyto(fsim[:, -1], f, where=accept)
