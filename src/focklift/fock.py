@@ -143,9 +143,9 @@ def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
 
     Column n peels a photon off its first occupied mode j (``peel``), from
     ``parent`` = index of n - e_j, with factor ``inv`` = 1/sqrt(n_j).  Row r
-    adds it back from each mode i: ``source[r, i]`` = flat offset of row
+    adds it back from each mode i: ``source[r, i, 0]`` = flat offset of row
     r - e_i in the (N-1)-photon matrix and ``weight[r, 0, i]`` = sqrt(r_i)
-    (0, source 0, when r_i = 0; complex so the matmul needs no cast).
+    (0, source 0, when r_i = 0; factors complex so no product casts).
     O(D * M) entries, read-only: callers share them.
     """
     states = basis_enumerate(modes, photons).states
@@ -155,8 +155,8 @@ def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
                         for i, k in enumerate(s)] for s in states], dtype=np.intp)
     rows = np.arange(len(states))
     peel = np.argmax(occ > 0, axis=1)
-    tables = (peel, source[rows, peel], 1.0 / np.sqrt(occ[rows, peel]), source * len(below),
-              np.sqrt(occ)[:, None, :].astype(complex))
+    tables = (peel, source[rows, peel], (1.0 / np.sqrt(occ[rows, peel])).astype(complex),
+              source[:, :, None] * len(below), np.sqrt(occ)[:, None, :].astype(complex))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -202,7 +202,7 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
         for a in range(0, d, step):
             rows = slice(a, a + step)
-            gathered = prev.take(source[rows, :, None] + parent, axis=1)
+            gathered = prev.take(source[rows] + parent, axis=1)
             np.matmul(weight[rows], gathered * coeff, out=out[:, rows])
         sectors.append(out.reshape(lanes, d, d))
     return LiftedUnitary(basis=basis, sectors=tuple(s[0] if v.ndim == 2 else s for s in sectors))

@@ -31,19 +31,20 @@ def _as_square(m: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
 
 def _within(m: np.ndarray, dev: np.ndarray, tol: float, name: str, what: str) -> np.ndarray:
     """m once every member's defect norm dev is within tol; NaN or inf fails."""
+    if (dev <= tol).all():
+        return m
     dev = np.reshape(dev, -1)
-    bad = np.flatnonzero(~(dev <= tol))
-    if bad.size:
-        member = f" (stack member {bad[0]})" if m.ndim == 3 else ""
-        raise InvalidInputError(f"{name}{member} is not {what} = {dev[bad[0]]:.3e} > {tol:.1e}")
-    return m
+    bad = np.flatnonzero(~(dev <= tol))[0]
+    member = f" (stack member {bad})" if m.ndim == 3 else ""
+    raise InvalidInputError(f"{name}{member} is not {what} = {dev[bad]:.3e} > {tol:.1e}")
 
 
 def require_hermitian(h: np.ndarray, stack: bool = False) -> np.ndarray:
     """h, or with stack=True each member of an (L, M, M) stack, Hermitian to CHECK_TOL."""
     h = _as_square(h, "matrix", stack)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf fails below
-        dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+        d = h - h.conj().swapaxes(-1, -2)
+        dev = np.sqrt(np.add.reduce((d.conj() * d).real, axis=(-2, -1)))  # as np.linalg.norm
     return _within(h, dev, CHECK_TOL, "matrix", "Hermitian: ||h - h^dag||")
 
 

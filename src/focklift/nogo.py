@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -274,17 +273,9 @@ class SearchResult:
     wall_time: float
 
     def to_jsonable(self, include_timing: bool = True) -> dict:
-        out = {
-            "constrained": self.constrained,
-            "best_entangling_measure": self.best_entangling_measure,
-            "best_leakage": self.best_leakage,
-            "best_parameters": list(self.best_parameters),
-            "best_candidate": self.best_candidate,
-            "restart_trace": self.restart_trace,
-            "feasible": self.feasible,
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
+        out = asdict(self)
+        if not include_timing:
+            del out["wall_time"]
         return out
 
 
@@ -312,16 +303,16 @@ def _penalty_levels(cfg: SearchConfig) -> list[float]:
 _XATOL = 1e-12
 _FATOL = 1e-14
 
-# kinds of a run's pending evaluation, then the two ends of an iteration:
-# the scored point replaces the worst vertex, or the shrunk vertices are scored
-_REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _ACCEPT, _SHRUNK = range(7)
+# kinds of a run's pending evaluation, then the two ends of an iteration (the
+# worst vertex replaced, or the shrunk vertices scored), after which it reflects
+_EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _REFLECT, _ACCEPT, _SHRUNK = range(7)
 # the step after a pending point of each kind scores f, by the flags 8 (f < best),
 # 4 (f < second-worst), 2 (f < worst vertex value) and 1 (f <= the reflection's)
-_NEXT = np.array([[_INSIDE] * 2 + [_OUTSIDE] * 2 + [_ACCEPT] * 4 + [_EXPAND] * 8,
-                  [_ACCEPT] * 16,  # to the expansion, or back to the reflection
+_NEXT = np.array([[_ACCEPT] * 16,  # to the expansion, or back to the reflection
                   [_SHRINK, _ACCEPT] * 8,
                   [_SHRINK, _SHRINK, _ACCEPT, _ACCEPT] * 4,
-                  [_SHRUNK] * 16])
+                  [_SHRUNK] * 16]
+                 + [[_INSIDE] * 2 + [_OUTSIDE] * 2 + [_ACCEPT] * 4 + [_EXPAND] * 8] * 3)
 
 
 def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
@@ -339,7 +330,8 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     # a trial point is a * xbar + b * worst vertex, (a, b) = coef[:, kind]
     # (-1 * w and -chi * w are exact negations); a shrink has none
-    coef = np.array([[2, 1 + chi, 1 + psi, 1 - psi, 0], [-1, -chi, -psi, psi, 0]])[..., None]
+    coef = np.array([[1 + chi, 1 + psi, 1 - psi, 0] + [2] * 3,
+                     [-chi, -psi, psi, 0] + [-1] * 3])[..., None]
     axis, vertices = np.arange(n), np.arange(n + 1)
     sim = np.repeat(x0[:, None], n + 1, axis=1)
     sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
@@ -354,7 +346,7 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
     order = fsim.argsort(axis=1) + base
     sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
     edges = (vertices == 0) * 8 + (vertices == n - 1) * 4 + (vertices == n) * 2
-    kind, fxr, ended = np.zeros(runs, dtype=np.intp), np.zeros(runs), np.ones(runs, dtype=bool)
+    kind, fxr, ended = np.full(runs, _REFLECT), np.zeros(runs), np.ones(runs, dtype=bool)
     x, nfev_at, nit_at = np.empty((runs, n)), np.empty(runs, dtype=int), np.empty(runs, dtype=int)
     while True:
         if np.count_nonzero(ended):
@@ -374,11 +366,10 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
                 if not ids.size:
                     break
                 base = base[:ids.size]
-            np.copyto(kind, _REFLECT, where=ended)
             xbar = sim[:, :-1].sum(axis=1) / n  # as it was for runs mid-iteration
         kinds = kind.tolist()
-        a, b = coef.take(kind, axis=1)
-        point = a * xbar + b * sim[:, -1]
+        ab = coef.take(kind, axis=1)
+        point = ab[0] * xbar + ab[1] * sim[:, -1]
         if _SHRINK in kinds:
             # the shrunk vertices the budget reaches, in the source's order
             single = kind != _SHRINK
@@ -392,7 +383,7 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
         else:
             f = objective(point, ids)
             nfev += 1
-        np.copyto(fxr, f, where=kind == _REFLECT)
+        np.copyto(fxr, f, where=kind >= _REFLECT)
         step = _NEXT[kind, (f[:, None] < fsim) @ edges + (f <= fxr)]
         if _EXPAND in kinds:
             # an expansion no better than its reflection keeps the reflection
@@ -450,6 +441,8 @@ def _run_restarts(task_fn, tasks: list[tuple], jobs: int) -> list:
     the worker count."""
     if jobs <= 1:
         return [task_fn(t) for t in tasks]
+    # imported here: it loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(task_fn, tasks))
 
@@ -476,8 +469,10 @@ def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
     results are identical to the serial run because every restart derives
     its generator from the same spawned seed stream, follows its own
     Nelder-Mead path whatever it is stacked with, and aggregation is
-    restart-ordered.
+    restart-ordered.  jobs must be an integer >= 1 (not a bool).
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
     start = time.perf_counter()
     levels = _penalty_levels(cfg)
     constrained = cfg.penalty_weight > 0
@@ -522,10 +517,11 @@ class _TwoModeFamily:
         """(measure, leakage) rows of an (L, 5) stack of angles, each row
         as the single-gate functions give it for its gate alone."""
         gates = _composite_gates(_reduce_angles(xs))
-        # read at call time from this module, so a replacement here is
-        # honoured, and broadcast, so it may return a scalar
-        measure = np.broadcast_to(entangling_measure(nearest_unitary_block(gates)), len(xs))
-        return np.column_stack([measure, _couplings(gates)[1]])
+        scores = np.empty((len(xs), 2))
+        # read at call time from this module; a replacement may return a scalar
+        scores[:, 0] = entangling_measure(nearest_unitary_block(gates))
+        scores[:, 1] = _couplings(gates)[1]
+        return scores
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         snapped = np.array(xs, dtype=float)
@@ -604,14 +600,16 @@ class _AncillaFamily:
         # holds the doubly occupied input
         self.coupling = np.flatnonzero(_coupling_mask(m, k + 2))
         ancilla = basis_enumerate(m - 2, k).states
-        # the first four rail occupations are the computational inputs in
-        # gate column order, their output columns laid end to end; a row of
-        # ``blocks`` holds the (rails, ancilla state) positions of one
-        # input's rail occupation, ``gate_at`` the flat gate entry of each
-        # computational row ``gate_rows``
+        # a lane's entries: the 2 (M - 2) rail-ancilla entries of v, from
+        # starts[0] the coupling entries and from starts[1] the output columns
+        # of the first four rail occupations, the computational inputs in gate
+        # column order; a row of ``blocks`` holds the (rails, ancilla state)
+        # positions of one input's rail occupation, ``gate_at`` the flat gate
+        # entry of each computational row ``gate_rows``
+        self.starts = (2 * (m - 2), 2 * (m - 2) + len(self.coupling))
         rails = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
         self.columns, blocks, self.gate_rows, self.gate_at = [], [], [], []
-        offset = 0
+        offset = self.starts[1]
         for c, n in enumerate(rails[:4]):
             basis = basis_enumerate(m, sum(n) + k)
             self.columns.append((sum(n) + k, basis.index(n + ancilla[0])))
@@ -622,6 +620,7 @@ class _AncillaFamily:
                 blocks.append([offset + basis.index(r + a) for a in ancilla])
             offset += len(basis)
         self.blocks = np.array(blocks, dtype=np.intp)
+        self.gate_rows, self.gate_at = np.array(self.gate_rows), np.array(self.gate_at)
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-math.pi, math.pi, size=self.modes ** 2)
@@ -649,41 +648,42 @@ class _AncillaFamily:
     def rate(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(L, 2) (entangling measure, constraint weight) rows and (L, 4, 4)
         induced gates of an (L, M, M) stack of mode unitaries.  Sums run along
-        contiguous last axes, so a row does not depend on the rows beside it."""
+        a row's entries, so a row does not depend on the rows beside it."""
         lanes = len(v)
         phi = lift_unitary(v, self.photons, check=False).sectors
-        # closed-form error-avoidance amplitudes 2 v[r, i]^2, rails r, ancillas i
-        sq = _abs_sq(v[:, :2, 2:].reshape(lanes, -1))
-        residual = 2.0 * np.sqrt((sq * sq).sum(axis=1))
-        leak = np.sqrt(_abs_sq(phi[-1].reshape(lanes, -1).take(self.coupling, axis=1)).sum(axis=1))
-        cols = np.concatenate([phi[s][:, :, col] for s, col in self.columns], axis=1)
+        cols = np.concatenate([v[:, :2, 2:].reshape(lanes, -1),
+                               phi[-1].reshape(lanes, -1).take(self.coupling, axis=1),
+                               *(phi[s][:, :, col] for s, col in self.columns)], axis=1)
         blocks = cols.take(self.blocks, axis=1)
         # chi: the ancilla part of the |0 0> output, or the first ancilla state
-        chi_norm = np.sqrt(_abs_sq(blocks[:, 0]).sum(axis=1))
-        chi = blocks[:, 0] / np.maximum(chi_norm, 1e-12)[:, None]
-        chi[chi_norm < 1e-12] = np.eye(chi.shape[1])[0]
-        # factorization defect: subtract from every block its projection on
-        # chi; what remains of the output columns is weight outside the
-        # product form (wrong ancilla state, or a photon exchanged between
-        # rails and ancillas) and must vanish
+        first = blocks[:, 0]
+        chi_norm = np.sqrt((first.real * first.real + first.imag * first.imag).sum(axis=1))
+        chi = first / np.maximum(chi_norm, 1e-12)[:, None]
+        lost = chi_norm < 1e-12
+        if np.count_nonzero(lost):
+            chi[lost] = np.eye(chi.shape[1])[0]
+        # factorization defect: what remains of the output columns once each
+        # block loses its projection on chi is weight outside the product form
+        # (wrong ancilla state, or a photon moved between rails and ancillas)
         amps = np.matmul(blocks, chi.conj()[:, :, None])
         cols[:, self.blocks] = blocks - amps * chi[:, None, :]
         gate = np.zeros((lanes, 4, 4), dtype=complex)
         gate.reshape(lanes, 16)[:, self.gate_at] = amps[:, self.gate_rows, 0]
         u, _, vh = np.linalg.svd(gate)
-        constraint = leak + residual + np.sqrt(_abs_sq(cols).sum(axis=1))
-        # broadcast, as in the two-mode family, so a replacement may return a scalar
-        measure = np.broadcast_to(entangling_measure(u @ vh), lanes)
-        return np.stack([measure, constraint], axis=1), gate
+        scores = np.empty((lanes, 2))
+        # written into its column, so a replacement measure may return a scalar
+        scores[:, 0] = entangling_measure(u @ vh)
+        a, b = self.starts
+        sq = cols.real * cols.real + cols.imag * cols.imag
+        # closed-form error-avoidance amplitudes 2 v[r, i]^2, rails r, ancillas i
+        residual = 2.0 * np.sqrt((sq[:, :a] * sq[:, :a]).sum(axis=1))
+        # leakage, residual and factorization defect
+        scores[:, 1] = np.sqrt(sq[:, a:b].sum(axis=1)) + residual + np.sqrt(sq[:, b:].sum(axis=1))
+        return scores, gate
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         projected = np.array([_project_feasible(v) for v in self.unitaries(xs)])
         return xs, self.rows(projected)
-
-
-def _abs_sq(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of a complex (L, n) array as a new (row-major) real array."""
-    return z.real * z.real + z.imag * z.imag
 
 
 def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:

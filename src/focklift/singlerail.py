@@ -248,8 +248,7 @@ def entangling_measure(gate: np.ndarray):
     an (L, 4, 4) stack an (L,) array, each entry as for its gate alone.
     """
     gate = _finite_gate(gate, 4, stack=True)
-    s_direct, s_swapped = np.linalg.svd(gate.reshape(-1, 16)[:, _RESHUFFLES],
-                                        compute_uv=False)[:, :, 0].T
-    raw = np.minimum(1.0 - (s_direct * s_direct) / 4.0, 1.0 - (s_swapped * s_swapped) / 4.0)
-    measure = np.maximum(0.0, raw)
+    top = np.linalg.svd(gate.reshape(-1, 16).take(_RESHUFFLES, axis=1), compute_uv=False)[:, :, 0]
+    s = np.maximum.reduce(top, axis=1)  # the larger s gives the smaller 1 - s^2 / 4
+    measure = np.maximum(0.0, 1.0 - (s * s) / 4.0)
     return float(measure[0]) if gate.ndim == 2 else measure

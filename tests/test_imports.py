@@ -1,12 +1,14 @@
-"""The package's public surface, and no focklift command loads scipy.optimize.
+"""The package's public surface, and what importing and running it loads.
 
 ``focklift.__all__`` is pinned name by name, so a name joins or leaves the
 public surface only on purpose.
 
 The no-go searches run an in-package Nelder-Mead, and scipy.optimize takes
 about half a second to import, so neither ``import focklift`` nor any
-command may load it.  Each check runs in a fresh interpreter, because this
-test process may have loaded it.
+command may load it.  Nor does ``import focklift`` load the process pool
+(concurrent.futures and with it multiprocessing), which only ``jobs > 1``
+uses.  Each check runs in a fresh interpreter, because this test process
+may have loaded them.
 """
 
 import importlib
@@ -53,18 +55,23 @@ def test_every_exported_name_resolves_to_its_submodule_object():
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def optimizer_loaded(body: str, tmp_path) -> bool:
-    """Run body in a fresh interpreter and say whether it loaded scipy.optimize."""
+def module_loaded(body: str, tmp_path, module: str = "scipy.optimize") -> bool:
+    """Run body in a fresh interpreter and say whether it loaded module."""
     script = ("import sys\nsys.path.insert(0, sys.argv[1])\nout = sys.argv[2]\n" + body
-              + "\nprint('scipy.optimize' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script, str(SRC), str(tmp_path)],
+              + "\nprint(sys.argv[3] in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(SRC), str(tmp_path), module],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()[-1] == "True"
 
 
 def test_import_focklift_leaves_the_optimizer_unloaded(tmp_path):
-    assert not optimizer_loaded("import focklift\nimport focklift.nogo", tmp_path)
+    assert not module_loaded("import focklift\nimport focklift.nogo", tmp_path)
+
+
+def test_import_focklift_leaves_the_process_pool_unloaded(tmp_path):
+    assert not module_loaded("import focklift\nimport focklift.nogo", tmp_path,
+                             "concurrent.futures")
 
 
 def test_lift_netlist_and_sweep_leave_the_optimizer_unloaded(tmp_path):
@@ -78,7 +85,7 @@ codes = [
 ]
 assert codes == [0, 0, 0], codes
 """
-    assert not optimizer_loaded(body, tmp_path)
+    assert not module_loaded(body, tmp_path)
 
 
 def test_nogo_search_leaves_the_optimizer_unloaded(tmp_path):
@@ -92,4 +99,4 @@ for name in ("two_mode", "ancilla"):
     code = main(["nogo", "--config", f"{out}/{name}.json", "--out", f"{out}/{name}.out.json"])
     assert code == 0, (name, code)
 """
-    assert not optimizer_loaded(body, tmp_path)
+    assert not module_loaded(body, tmp_path)

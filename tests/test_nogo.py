@@ -291,6 +291,18 @@ def test_two_mode_rejects_other_mode_counts():
         nogo_search_two_mode(SearchConfig(modes=3))
 
 
+@pytest.mark.parametrize("search, modes", [(nogo_search_two_mode, 2), (nogo_search_ancilla, 3)],
+                         ids=["two_mode", "ancilla"])
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0, True, False, "2", None])
+def test_search_rejects_a_bad_jobs_value_before_any_restart(monkeypatch, search, modes, jobs):
+    def refuse(args):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(focklift.nogo, "_run_chunk", refuse)
+    with pytest.raises(InvalidInputError, match="jobs"):
+        search(SearchConfig(modes=modes, restarts=2), jobs=jobs)
+
+
 def test_chunk_in_a_fresh_worker_matches_in_process():
     args = (_TwoModeFamily(), SearchConfig(modes=2, restarts=3, max_iterations=40, seed=55),
             [10.0, 100.0, 1e5], 0, 3)
@@ -773,3 +785,23 @@ def test_ancilla_scores_lift_at_most_lanes_within_the_entry_cap(monkeypatch):
     assert np.array_equal(family.scores(rows), expected)
     assert np.array_equal(family.feasible(rows)[1], projected)
     assert lifted == [1] * (2 * len(rows))
+
+
+def _zero_measure(gate):
+    return 0.0
+
+
+@pytest.mark.parametrize("family, rows", [
+    (_TwoModeFamily(), two_mode_rows(74, 5)),
+    (ancilla_family(3), ancilla_rows(3, 75, 3)),
+    (ancilla_family(4, 1), ancilla_rows(4, 76, 3)),
+], ids=["two_mode", "ancilla-3-0", "ancilla-4-1"])
+def test_a_scalar_measure_fills_the_measure_column(monkeypatch, family, rows):
+    # a replacement measure that returns one number scores every row with it
+    expected = family.scores(rows)
+    monkeypatch.setattr(focklift.nogo, "entangling_measure", _zero_measure)
+    for stack in (rows, rows[:1]):
+        scores = family.scores(stack)
+        assert scores.shape == (len(stack), 2)
+        assert np.all(scores[:, 0] == 0.0)
+        assert np.array_equal(scores[:, 1], expected[:len(stack), 1])
