@@ -4,16 +4,16 @@ Two deliberately independent routes:
 
 * ``naive``   - literal sum over all n! permutations, the definitional
   oracle.  Capped at n <= 9.
-* ``ryser``   - Ryser's inclusion-exclusion formula, O(2^n * n), in numpy.
-  Capped at n <= 24.
+* ``ryser``   - Ryser's formula in half-sum form (Nijenhuis & Wilf 1978;
+  Glynn 2010), 2^(n-1) products of n row sums, in numpy.  Capped at n <= 24.
 
 The Ryser kernel is the one production route of ``permanent``; the Fock
 lift computes no permanents (``fock.lift_unitary`` builds each sector from
-the one below it).  The kernel takes one matrix and splits its columns in
-two.  The row sums of every subset of the inner columns are tabulated at
-once (2^n subsets for small n, 2^8 at n = 20); the outer columns are walked
-in Gray-code order (Nijenhuis & Wilf 1978), adding or removing one column
-per step and reducing the whole inner table at each.
+the one below it).  The kernel splits the columns after the first in two.
+The signed row sums of every sign pattern of the inner columns are
+tabulated at once (2^(n-1) patterns for small n, 2^8 at n = 20); the outer
+columns are walked in Gray-code order, each step flipping one sign in
+place in the whole table and then reducing it.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ __all__ = ["permanent", "NAIVE_MAX_N", "RYSER_MAX_N"]
 NAIVE_MAX_N = 9
 RYSER_MAX_N = 24
 
-# Complex entries in one block of the subset table (2^13 x 16 B = 128 KiB).
+# Complex entries in one block of the sign table (2^13 x 16 B = 128 KiB).
 # The tabulated columns are as many as fit one block.  fock.lift_unitary
 # bounds its row chunks by the same block.
 _BLOCK_ENTRIES = 1 << 13
@@ -37,37 +37,36 @@ _BLOCK_ENTRIES = 1 << 13
 def _ryser(mat: np.ndarray) -> complex:
     """Permanent of an (n, n) complex matrix.
 
-    Per(A) = (-1)^n * sum_S (-1)^|S| prod_i sum_{j in S} a_ij over all
-    column subsets S.  The row sums over subsets of the first lo columns
-    form an (n, 2^lo) table, built by doubling: the subsets containing
-    column j are those without it plus column j.  Step t of the Gray walk
-    over the other columns adds or removes one column, so the outer subset
-    has the parity of t.
+    Per(A) = 2^-(n-1) sum_d (prod_k d_k) prod_i sum_j d_j a_ij over sign
+    vectors d with d_0 = +1.  The sums run along rows, so rows scaled by
+    1e200 and 1e-200 cancel in the product.  The sums for every pattern of
+    columns 1..lo form an (n, 2^lo) table, built by doubling from d = +1:
+    d_j = -1 is d_j = +1 minus twice column j.  Step t of the Gray walk
+    over the other columns flips one sign in place, so the outer signs
+    multiply to the parity of t.
     """
     n = mat.shape[0]
-    lo = min(n, (_BLOCK_ENTRIES // max(n, 1)).bit_length() - 1)
-    signs = np.ones(1 << lo)  # (-1)^|S|, bit j of S meaning column j
+    if n == 0:
+        return 1.0 + 0.0j
+    lo = min(n - 1, (_BLOCK_ENTRIES // n).bit_length() - 1)
+    signs = np.ones(1 << lo, dtype=complex)  # prod_k d_k over columns 1..lo
+    sums = np.empty((n, 1 << lo), dtype=complex)
+    sums[:, 0] = mat.sum(axis=1)
+    twice = 2 * mat.T[:, :, None]  # (column, row, 1)
     for j in range(lo):
+        np.subtract(sums[:, :1 << j], twice[1 + j], out=sums[:, 1 << j:2 << j])
         signs[1 << j:2 << j] = -signs[:1 << j]
-    cols = mat.T[:, :, None]  # (column, row, 1)
-    sums = np.zeros((n, 1 << lo), dtype=complex)
-    for j in range(lo):
-        np.add(sums[:, :1 << j], cols[j], out=sums[:, 1 << j:2 << j])
-    outer = np.zeros((n, 1), dtype=complex)
     total = 0j
-    for t in range(1 << (n - lo)):
+    for t in range(1 << (n - 1 - lo)):
         if t:
             j = (t & -t).bit_length() - 1
             if (t ^ (t >> 1)) >> j & 1:
-                outer += cols[lo + j]
+                sums -= twice[lo + 1 + j]
             else:
-                outer -= cols[lo + j]
-        term = ((sums + outer).prod(axis=0) * signs).sum()
-        if (n + t) & 1:
-            total -= term
-        else:
-            total += term
-    return complex(total)
+                sums += twice[lo + 1 + j]
+        term = sums.prod(axis=0) @ signs
+        total += -term if t & 1 else term
+    return complex(total) / (1 << (n - 1))
 
 
 # Cached permutation index tables for the naive kernel, keyed by n.
@@ -92,21 +91,30 @@ def permanent(mat: np.ndarray, algorithm: str = "ryser") -> complex:
     Parameters
     ----------
     mat : (n, n) array_like
-        Square matrix; the empty 0 x 0 matrix has permanent 1.
+        Finite square matrix (else ``InvalidInputError``); the empty 0 x 0
+        matrix has permanent 1.
     algorithm : {"ryser", "naive"}
-        Kernel choice.  Both agree to floating rounding; "naive" exists as
-        the independent definitional oracle.
+        "ryser", Ryser's formula in half-sum form (2^(n-1) terms), or the
+        independent definitional oracle "naive".  Both agree to floating
+        rounding.  Past a route's size cap, or when the permanent of finite
+        entries overflows float64, ``ResourceLimitError`` is raised.
     """
-    mat = np.asarray(mat, dtype=complex)
+    try:
+        mat = np.asarray(mat, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"permanent expects a complex matrix: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInputError(f"permanent expects a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise InvalidInputError("permanent expects finite entries")
+    if algorithm not in ("naive", "ryser"):
+        raise InvalidInputError(f"unknown permanent algorithm {algorithm!r}")
     n = mat.shape[0]
-    if algorithm == "naive":
-        if n > NAIVE_MAX_N:
-            raise ResourceLimitError(f"naive permanent capped at n <= {NAIVE_MAX_N}, got n = {n}")
-        return _naive(mat)
-    if algorithm == "ryser":
-        if n > RYSER_MAX_N:
-            raise ResourceLimitError(f"ryser permanent capped at n <= {RYSER_MAX_N}, got n = {n}")
-        return _ryser(mat)
-    raise InvalidInputError(f"unknown permanent algorithm {algorithm!r}")
+    kernel, cap = (_naive, NAIVE_MAX_N) if algorithm == "naive" else (_ryser, RYSER_MAX_N)
+    if n > cap:
+        raise ResourceLimitError(f"{algorithm} permanent capped at n <= {cap}, got n = {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = kernel(mat)
+    if not np.isfinite(value):
+        raise ResourceLimitError(f"{algorithm} permanent overflows float64 at n = {n}")
+    return value
