@@ -34,7 +34,7 @@ import numpy as np
 # focklift.nogo (as the benchmark's tracer does) sees them
 from . import __version__, nogo
 from .errors import InvalidInputError, ResourceLimitError
-from .fock import lift_unitary, lifted_to_csv, lifted_to_jsonable
+from .fock import _check_lift_size, lift_unitary, lifted_to_csv, lifted_to_jsonable
 from .linalg import haar_random_unitary, require_unitary
 from .modes import elements_to_jsonable, reck_decompose, recompose
 
@@ -46,6 +46,13 @@ EXIT_IO = 4
 # a start:stop:count grid is rejected above this many points, before numpy
 # allocates it
 MAX_GRID_POINTS = 100_000
+# --samples is rejected above this many phase tuples per grid point, which
+# score as ~58 MB of 6x6 gates
+MAX_SAMPLES = 100_000
+# netlist --haar is rejected above this dimension, before the draw; a netlist
+# at the cap took 20 s (and 3.5 MB of JSON) on 2 vCPUs, and the time grows
+# about as M^4
+MAX_NETLIST_DIM = 200
 
 
 def _now() -> str:
@@ -178,26 +185,28 @@ def _source_unitary(ns) -> tuple[np.ndarray, dict, int | None]:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_task(args: tuple) -> tuple[float, float, float]:
-    """(eps, leakage at zero phases, best measure over random phases), all
-    rows scored in one stacked call."""
-    eps, samples, seed, index = args
-    angles = np.full((samples + 1, 5), eps)
-    angles[0, :4] = 0.0
-    angles[1:, :4] = nogo._task_rng(seed, index).uniform(-math.pi, math.pi, size=(samples, 4))
-    measure, leak = nogo._TwoModeFamily().scores(angles).T
-    return eps, float(leak[0]), float(measure[1:].max())
+def _sweep_chunk(args: tuple) -> list[tuple[float, float, float]]:
+    """(eps, leakage at zero phases, best measure over random phases) of grid
+    points lo..hi-1, each point's rows scored in one stacked call."""
+    grid, samples, seed, lo, hi = args
+    rows = []
+    for index in range(lo, hi):
+        angles = np.full((samples + 1, 5), grid[index])
+        angles[0, :4] = 0.0
+        angles[1:, :4] = nogo._task_rng(seed, index).uniform(-math.pi, math.pi, size=(samples, 4))
+        measure, leak = nogo._TwoModeFamily().scores(angles).T
+        rows.append((grid[index], float(leak[0]), float(measure[1:].max())))
+    return rows
 
 
 def cmd_sweep(ns) -> int:
     grid = _parse_grid(ns.grid)
-    if ns.samples < 1:
-        raise InvalidInputError(f"--samples must be >= 1, got {ns.samples}")
+    if not 1 <= ns.samples <= MAX_SAMPLES:
+        raise InvalidInputError(f"--samples must be in 1..{MAX_SAMPLES}, got {ns.samples}")
     if ns.out is None:
         raise InvalidInputError("sweep requires --out for the CSV table")
     seed = _resolve_seed(ns)
-    tasks = [(eps, ns.samples, seed, i) for i, eps in enumerate(grid)]
-    rows = nogo._run_restarts(_sweep_task, tasks, ns.jobs)
+    rows = nogo._run_restarts(_sweep_chunk, (grid, ns.samples, seed), len(grid), ns.jobs)
 
     zero_rows = [r for r in rows if r[1] < 1e-12]
     max_measure_zero = max((r[2] for r in zero_rows), default=0.0)
@@ -262,11 +271,14 @@ def cmd_nogo(ns) -> int:
     if result.constrained:
         certified = bool(result.feasible
                          and result.best_entangling_measure < cfg.certification_threshold)
+    body = result.to_jsonable()
+    if ns.no_timestamps:
+        del body["wall_time"]
     report = _report(ns, dict(raw, mode=mode), cfg.seed, {
         "mode": mode,
         "certification_threshold": cfg.certification_threshold,
         "certified": certified,
-        "result": result.to_jsonable(include_timing=not ns.no_timestamps),
+        "result": body,
     })
     label = {True: "certified", False: "VIOLATION", None: "unconstrained"}[certified]
     _emit(ns.out, _dump_json(report),
@@ -282,6 +294,10 @@ def cmd_nogo(ns) -> int:
 def cmd_lift(ns) -> int:
     if ns.photons < 1:
         raise InvalidInputError(f"--photons must be >= 1, got {ns.photons}")
+    if ns.haar is not None and ns.haar >= 1:
+        # an oversize sector is refused before numpy draws the M x M unitary;
+        # M < 1 is left to the draw's own check
+        _check_lift_size(ns.haar, ns.photons)
     v, src, seed = _source_unitary(ns)
     lifted = lift_unitary(v, ns.photons)
     if ns.format == "csv":
@@ -295,6 +311,8 @@ def cmd_lift(ns) -> int:
 
 
 def cmd_netlist(ns) -> int:
+    if ns.haar is not None and ns.haar > MAX_NETLIST_DIM:
+        raise ResourceLimitError(f"--haar {ns.haar} is above the netlist cap of {MAX_NETLIST_DIM}")
     v, src, seed = _source_unitary(ns)
     elements = reck_decompose(v)
     dim = int(v.shape[0])
@@ -371,8 +389,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     ns.started = _now()
     try:
-        if getattr(ns, "jobs", 1) < 1:
-            raise InvalidInputError("--jobs must be >= 1")
         return ns.func(ns)
     except (InvalidInputError, ResourceLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -179,6 +179,11 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
 # search configuration and results
 # ---------------------------------------------------------------------------
 
+# a config with more restarts is rejected before the search allocates them; at
+# the cap the first-round simplices at M = 6 hold ~107 MB
+MAX_RESTARTS = 10_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Shared knobs of the certificate searches.
@@ -214,8 +219,8 @@ class SearchConfig:
             raise InvalidInputError(f"modes must be >= 2, got {self.modes}")
         if self.ancilla_photons < 0:
             raise InvalidInputError(f"ancilla_photons must be >= 0, got {self.ancilla_photons}")
-        if self.restarts < 1:
-            raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise InvalidInputError(f"restarts must be in 1..{MAX_RESTARTS}, got {self.restarts}")
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
@@ -272,11 +277,8 @@ class SearchResult:
     feasible: bool
     wall_time: float
 
-    def to_jsonable(self, include_timing: bool = True) -> dict:
-        out = asdict(self)
-        if not include_timing:
-            del out["wall_time"]
-        return out
+    def to_jsonable(self) -> dict:
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +438,23 @@ def _task_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _run_restarts(task_fn, tasks: list[tuple], jobs: int) -> list:
-    """Execute tasks, preserving task order so results are independent of
-    the worker count."""
-    if jobs <= 1:
-        return [task_fn(t) for t in tasks]
+def _run_restarts(task, args: tuple, count: int, jobs: int) -> list:
+    """task(args + (lo, hi)) over range(count) cut into min(jobs, count)
+    contiguous chunks, in-process for one chunk, else one process each, with
+    the results joined in index order.  They do not depend on jobs (an
+    integer >= 1, not a bool): an index draws from its own ``_task_rng``
+    stream and comes out the same in any chunk (a restart follows its own
+    Nelder-Mead path whatever it is stacked with)."""
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
+    jobs = min(jobs, count)
+    chunks = [args + (count * j // jobs, count * (j + 1) // jobs) for j in range(jobs)]
+    if jobs == 1:
+        return task(chunks[0])
     # imported here: it loads multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task_fn, tasks))
+        return [r for chunk in pool.map(task, chunks) for r in chunk]
 
 
 def _select_best(candidates: list[_Candidate], constrained: bool,
@@ -462,26 +472,14 @@ def _select_best(candidates: list[_Candidate], constrained: bool,
 
 
 def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
-    """Spread the penalty ladder across cfg.restarts restarts of a family
-    and report the best candidate with a per-restart trace.
-
-    jobs > 1 splits the restarts into contiguous chunks, one process each;
-    results are identical to the serial run because every restart derives
-    its generator from the same spawned seed stream, follows its own
-    Nelder-Mead path whatever it is stacked with, and aggregation is
-    restart-ordered.  jobs must be an integer >= 1 (not a bool).
-    """
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
+    """Spread the penalty ladder across cfg.restarts restarts of a family,
+    run by ``_run_restarts``, and report the best candidate with a trace."""
     start = time.perf_counter()
     levels = _penalty_levels(cfg)
     constrained = cfg.penalty_weight > 0
     mus = [levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
            for r in range(cfg.restarts)]
-    jobs = min(jobs, cfg.restarts)
-    bounds = [cfg.restarts * j // jobs for j in range(jobs + 1)]
-    chunks = [(family, cfg, mus, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    per_restart = [r for chunk in _run_restarts(_run_chunk, chunks, jobs) for r in chunk]
+    per_restart = _run_restarts(_run_chunk, (family, cfg, mus), cfg.restarts, jobs)
     (kind, params, meas, leak), feasible = _select_best(
         [c for _, cands in per_restart for c in cands], constrained, cfg.leakage_tolerance)
     return SearchResult(

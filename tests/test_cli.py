@@ -6,6 +6,7 @@ explicit --out files or redirect_stdout, so the suite works with -s.
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import focklift.cli
 from focklift.cli import (EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS,
-                          _build_parser, main)
+                          MAX_SAMPLES, _build_parser, main)
 from focklift.linalg import haar_random_unitary
 
 
@@ -76,22 +78,46 @@ def test_sweep_requires_out(tmp_path):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("grid", [
-    pytest.param("", id="empty"),
-    pytest.param("0,nan", id="nan"),
-    pytest.param("inf", id="inf"),
-    pytest.param("0:inf:3", id="inf-range"),
+@pytest.mark.parametrize("grid, samples", [
+    pytest.param("", "1", id="empty"),
+    pytest.param("0,nan", "1", id="nan"),
+    pytest.param("inf", "1", id="inf"),
+    pytest.param("0:inf:3", "1", id="inf-range"),
     # an unbounded count once asked numpy for a 7.45 GiB linspace
-    pytest.param(f"0:1:{MAX_GRID_POINTS + 1}", id="oversize-range"),
+    pytest.param(f"0:1:{MAX_GRID_POINTS + 1}", "1", id="oversize-range"),
+    # a billion samples once asked numpy for 37.3 GiB
+    pytest.param("0", str(MAX_SAMPLES + 1), id="oversize-samples"),
+    pytest.param("0", "0", id="no-samples"),
 ])
-def test_sweep_rejects_bad_grid(tmp_path, grid):
+def test_sweep_rejects_bad_grid(tmp_path, grid, samples):
     # a NaN point once died in round(NaN) inside modes.py with exit 1
     out = tmp_path / "x.csv"
-    code, err = run_err("sweep", "--grid", grid, "--samples", "1", "--seed", "1",
+    code, err = run_err("sweep", "--grid", grid, "--samples", samples, "--seed", "1",
                         "--out", str(out))
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_a_bad_jobs_value(tmp_path, jobs):
+    out = tmp_path / "x.csv"
+    code, err = run_err("sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
+                        "--jobs", jobs, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "jobs" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 20])
+def test_sweep_submits_at_most_jobs_tasks(tmp_path, inline_pools, jobs):
+    # one task per grid point once paid a process-pool round trip for each
+    argv = ["sweep", "--grid", "0:1.5:9", "--samples", "2", "--seed", "5", "--no-timestamps"]
+    assert run(*argv, "--out", str(tmp_path / "serial.csv"))[0] == EXIT_OK
+    assert inline_pools == []
+    assert run(*argv, "--out", str(tmp_path / "split.csv"), "--jobs", str(jobs))[0] == EXIT_OK
+    assert [len(pool.tasks) for pool in inline_pools] == [min(jobs, 9)]
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_failed_sweep_leaves_neither_file(tmp_path):
@@ -126,6 +152,7 @@ def test_nogo_two_mode_certifies(tmp_path):
     assert doc["certified"] is True
     assert doc["result"]["best_entangling_measure"] < 1e-6
     assert "started" not in doc["manifest"]
+    assert "wall_time" not in doc["result"]
 
 
 def test_nogo_unconstrained_reports_no_verdict(tmp_path):
@@ -195,6 +222,13 @@ def test_nogo_rejects_bad_config(tmp_path):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "cap" in err
 
+    # a billion restarts once died in a MemoryError traceback with exit 1
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({"mode": "two_mode", "restarts": 1_000_000_000}))
+    code, err = run_err("nogo", "--config", str(many))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "restarts" in err
+
 
 @pytest.mark.parametrize("field, value", [
     ("penalty_weight", float("nan")),
@@ -255,6 +289,35 @@ def test_lift_reads_matrix_file(tmp_path):
     got = np.array([[float(x) for x in r.split(",")] for r in rows])
     flat = got[:, 0::2] + 1j * got[:, 1::2]
     assert np.max(np.abs(flat - v)) < 1e-15
+
+
+def refuse_draw(dim, seed):
+    raise AssertionError("a unitary was drawn")
+
+
+def test_lift_checks_the_sector_before_the_draw(tmp_path, monkeypatch):
+    # --haar 100000 --photons 1 once drew a 74.5 GiB unitary before the lift
+    # refused its 100 000-state sector
+    monkeypatch.setattr(importlib.import_module("focklift.fock"), "MAX_BASIS_SIZE", 40)
+    argv = ["lift", "--photons", "1", "--seed", "1", "--out", str(tmp_path / "l.json")]
+    assert run(*argv, "--haar", "39")[0] == EXIT_OK  # 1 + 39**2 entries <= 40**2
+    monkeypatch.setattr(focklift.cli, "haar_random_unitary", refuse_draw)
+    code, err = run_err(*argv, "--haar", "40")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "cap" in err
+
+
+def test_netlist_caps_the_haar_dimension(tmp_path, monkeypatch):
+    # --haar 20000 once died drawing a 2.98 GiB unitary
+    monkeypatch.setattr(focklift.cli, "MAX_NETLIST_DIM", 5)
+    out = tmp_path / "n.json"
+    assert run("netlist", "--haar", "5", "--seed", "1", "--out", str(out))[0] == EXIT_OK
+    out.unlink()
+    monkeypatch.setattr(focklift.cli, "haar_random_unitary", refuse_draw)
+    code, err = run_err("netlist", "--haar", "6", "--seed", "1", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "cap" in err
+    assert not out.exists()
 
 
 def test_lift_usage_errors(tmp_path):

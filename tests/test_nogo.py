@@ -12,13 +12,14 @@ import focklift.nogo
 from focklift.errors import InvalidInputError, ResourceLimitError
 from focklift.fock import lift_unitary, LiftedUnitary
 from focklift.linalg import haar_random_unitary
-from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
+from focklift.modes import beam_splitter, composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
     _AncillaFamily,
     _coupling_mask,
     _penalty_levels,
     _project_feasible,
     _run_chunk,
+    _run_restarts,
     _task_rng,
     _TwoModeFamily,
     AncillaCheckReport,
@@ -26,6 +27,7 @@ from focklift.nogo import (
     block_lemma_check,
     bunched_partition,
     dont_cause_errors_residuals,
+    MAX_RESTARTS,
     nogo_search_ancilla,
     nogo_search_two_mode,
     SearchConfig,
@@ -215,6 +217,8 @@ def test_config_validation():
     ("restarts", 2.5),
     ("restarts", "3"),
     ("restarts", True),
+    ("restarts", 0),
+    ("restarts", MAX_RESTARTS + 1),
     ("max_iterations", 400.0),
     ("modes", None),
     ("seed", "x"),
@@ -274,16 +278,20 @@ def test_two_mode_unconstrained_entangles():
     assert result.best_leakage > 1e-3
 
 
+def timeless(result):
+    """A result's JSON without its wall time, as --no-timestamps reports it."""
+    doc = result.to_jsonable()
+    del doc["wall_time"]
+    return json.dumps(doc, sort_keys=True)
+
+
 def test_two_mode_search_is_deterministic_and_jobs_invariant():
     cfg = SearchConfig(modes=2, restarts=4, max_iterations=150,
                        penalty_weight=1e5, seed=52)
-    a = nogo_search_two_mode(cfg).to_jsonable(include_timing=False)
-    b = nogo_search_two_mode(cfg).to_jsonable(include_timing=False)
-    c = nogo_search_two_mode(cfg, jobs=2).to_jsonable(include_timing=False)
-    d = nogo_search_two_mode(cfg, jobs=3).to_jsonable(include_timing=False)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
-    assert json.dumps(a, sort_keys=True) == json.dumps(d, sort_keys=True)
+    a = timeless(nogo_search_two_mode(cfg))
+    assert a == timeless(nogo_search_two_mode(cfg))
+    assert a == timeless(nogo_search_two_mode(cfg, jobs=2))
+    assert a == timeless(nogo_search_two_mode(cfg, jobs=3))
 
 
 def test_two_mode_rejects_other_mode_counts():
@@ -319,15 +327,33 @@ def test_unknown_nogo_attribute_is_still_an_attribute_error():
 
 
 def test_search_result_timing_switch():
+    # the result always carries its wall time; the CLI drops it under
+    # --no-timestamps (test_cli.test_nogo_two_mode_certifies)
     cfg = SearchConfig(modes=2, restarts=2, max_iterations=60,
                        penalty_weight=1e5, seed=53)
     result = nogo_search_two_mode(cfg)
     assert isinstance(result, SearchResult)
-    with_timing = result.to_jsonable()
-    without = result.to_jsonable(include_timing=False)
-    assert "wall_time" in with_timing
-    assert "wall_time" not in without
-    assert with_timing["wall_time"] >= 0.0
+    assert result.to_jsonable()["wall_time"] == result.wall_time >= 0.0
+
+
+@pytest.mark.parametrize("count, jobs, bounds", [
+    (5, 1, [(0, 5)]),
+    (5, 3, [(0, 1), (1, 3), (3, 5)]),
+    (3, 8, [(0, 1), (1, 2), (2, 3)]),
+])
+def test_runner_cuts_contiguous_chunks_in_index_order(inline_pools, count, jobs, bounds):
+    ran = []
+
+    def task(args):
+        tag, lo, hi = args
+        ran.append((lo, hi))
+        return [(tag, i) for i in range(lo, hi)]
+
+    assert _run_restarts(task, ("t",), count, jobs) == [("t", i) for i in range(count)]
+    assert ran == bounds
+    # one chunk runs in-process; more get one worker each
+    assert [(p.max_workers, len(p.tasks)) for p in inline_pools] == (
+        [] if len(bounds) == 1 else [(len(bounds), len(bounds))])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +384,33 @@ def test_ancilla_eval_identity_gate():
     assert constraint < 1e-14
     assert meas < 1e-14
     assert np.max(np.abs(gate - np.eye(4))) < 1e-14
+
+
+class _NoCouplingFamily(_AncillaFamily):
+    """A mutant whose rate drops the computational <-> bunched coupling term
+    and nothing else: it gathers no coupling entries, so that term sums none."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        dropped = len(self.coupling)
+        self.coupling = self.coupling[:0]
+        self.blocks = self.blocks - dropped
+        self.starts = (self.starts[0], self.starts[0])
+
+
+def test_coupling_term_alone_rejects_a_clean_entangling_witness():
+    # positive control: without the coupling term, a 50:50 splitter on the
+    # rails with the ancilla idle scores exactly feasible and entangling, so
+    # that term is what keeps the certificate from passing a false no-go
+    cfg = SearchConfig(modes=3, ancilla_photons=0)
+    v = np.eye(3, dtype=complex)
+    v[:2, :2] = beam_splitter(math.pi / 4)
+    (measure, constraint), = _NoCouplingFamily(cfg).rate(v[np.newaxis])[0]
+    assert measure == pytest.approx(0.2714466094067265, abs=1e-15)
+    assert constraint == 0.0
+    (real_measure, real_constraint), = _AncillaFamily(cfg).rate(v[np.newaxis])[0]
+    assert real_measure == measure
+    assert real_constraint == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 def test_ancilla_eval_flags_rail_mixing():
@@ -490,8 +543,7 @@ def test_ancilla_search_deterministic():
     for modes, ancilla_photons, iterations in ((3, 0, 100), (4, 1, 60)):
         cfg = SearchConfig(modes=modes, ancilla_photons=ancilla_photons, restarts=5,
                            max_iterations=iterations, penalty_weight=1e5, seed=58)
-        reports = [json.dumps(nogo_search_ancilla(cfg, jobs=jobs).to_jsonable(
-            include_timing=False), sort_keys=True) for jobs in (1, 2, 3)]
+        reports = [timeless(nogo_search_ancilla(cfg, jobs=jobs)) for jobs in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2]
 
 
