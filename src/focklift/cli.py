@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, nogo
 from .errors import InvalidInputError, ResourceLimitError
 from .fock import _check_lift_size, lift_unitary, lifted_to_csv, lifted_to_jsonable
-from .linalg import haar_random_unitary, require_unitary
+from .linalg import _finite, _integer, haar_random_unitary, require_unitary
 from .modes import elements_to_jsonable, reck_decompose, recompose
 
 EXIT_OK = 0
@@ -50,8 +50,8 @@ MAX_GRID_POINTS = 100_000
 # score as ~58 MB of 6x6 gates
 MAX_SAMPLES = 100_000
 # netlist --haar is rejected above this dimension, before the draw; a netlist
-# at the cap took 20 s (and 3.5 MB of JSON) on 2 vCPUs, and the time grows
-# about as M^4
+# at the cap takes 2.5 s (and 3.5 MB of JSON) on 2 vCPUs, and the time grows
+# about as M^3
 MAX_NETLIST_DIM = 200
 
 
@@ -110,9 +110,7 @@ def _resolve_seed(ns) -> int:
     # generated seeds still land in the manifest so a run can be replayed
     if ns.seed is None:
         return secrets.randbits(32)
-    if ns.seed < 0:
-        raise InvalidInputError(f"--seed must be >= 0, got {ns.seed}")
-    return ns.seed
+    return _integer(ns.seed, "--seed", 0)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -152,11 +150,8 @@ def _load_matrix(path: str) -> np.ndarray:
         raise InvalidInputError(f"matrix file {path!r} holds no matrix")
 
     def entry(e):
-        parts = e if isinstance(e, list) and len(e) == 2 else [e, 0]
-        # bool is an int subclass, but true/false are not matrix entries
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-            raise TypeError(f"entries must be numbers or [re, im] pairs, got {e!r}")
-        return complex(*parts)
+        real, imag = e if isinstance(e, list) and len(e) == 2 else (e, 0)
+        return complex(_finite(real, "matrix entry"), _finite(imag, "matrix entry"))
 
     try:
         return np.array([[entry(e) for e in row] for row in data], dtype=complex)
@@ -201,8 +196,7 @@ def _sweep_chunk(args: tuple) -> list[tuple[float, float, float]]:
 
 def cmd_sweep(ns) -> int:
     grid = _parse_grid(ns.grid)
-    if not 1 <= ns.samples <= MAX_SAMPLES:
-        raise InvalidInputError(f"--samples must be in 1..{MAX_SAMPLES}, got {ns.samples}")
+    _integer(ns.samples, "--samples", 1, MAX_SAMPLES)
     if ns.out is None:
         raise InvalidInputError("sweep requires --out for the CSV table")
     seed = _resolve_seed(ns)
@@ -292,8 +286,7 @@ def cmd_nogo(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lift(ns) -> int:
-    if ns.photons < 1:
-        raise InvalidInputError(f"--photons must be >= 1, got {ns.photons}")
+    _integer(ns.photons, "--photons", 1)
     if ns.haar is not None and ns.haar >= 1:
         # an oversize sector is refused before numpy draws the M x M unitary;
         # M < 1 is left to the draw's own check

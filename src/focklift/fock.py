@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import _as_square, require_unitary
+from .linalg import _as_square, _integer, require_unitary
 from .permanent import _BLOCK_ENTRIES
 
 __all__ = [
@@ -86,17 +86,15 @@ class FockBasis:
         return m
 
 
-@lru_cache(maxsize=None)
+# typed: True == 1, so an untyped cache would answer a bool count without the check
+@lru_cache(maxsize=None, typed=True)
 def basis_enumerate(modes: int, photons: int) -> FockBasis:
     """Enumerate the N-photon occupation basis on M modes.
 
     Size is C(N+M-1, M-1); basis sizes above MAX_BASIS_SIZE raise
     ResourceLimitError before any enumeration work is done.
     """
-    if modes < 1:
-        raise InvalidInputError(f"modes must be >= 1, got {modes}")
-    if photons < 0:
-        raise InvalidInputError(f"photons must be >= 0, got {photons}")
+    modes, photons = _integer(modes, "modes", 1), _integer(photons, "photons", 0)
     size = math.comb(photons + modes - 1, modes - 1)
     if size > MAX_BASIS_SIZE:
         raise ResourceLimitError(
@@ -116,6 +114,7 @@ def _check_lift_size(modes: int, photons: int) -> int:
     """Raise ResourceLimitError when a lift to N photons would keep more than
     MAX_BASIS_SIZE sectors or MAX_BASIS_SIZE**2 entries in all; else return
     how many such lifts, stacked, keep at most that many entries."""
+    photons = _integer(photons, "photons", 0)
     if photons >= MAX_BASIS_SIZE or _kept_entries(modes, photons) > MAX_BASIS_SIZE ** 2:
         raise ResourceLimitError(
             f"a lift keeps the sectors 0..{photons} on {modes} modes; the cap is "
@@ -253,9 +252,7 @@ def lift_via_substitution(v: np.ndarray, poly: OccupationPolynomial) -> Occupati
     matrix) and the product is expanded term by term.  Exponential in the
     photon number; this is the oracle, not the production path.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (poly.modes, poly.modes):
-        raise InvalidInputError(f"mode matrix shape {v.shape} does not match modes={poly.modes}")
+    v = _as_square(v, "mode matrix", dim=poly.modes)
     modes = poly.modes
     out: dict[tuple[int, ...], complex] = {}
     for m, c in poly.terms.items():

@@ -7,13 +7,12 @@ modes, columns input modes, matching the lift orientation in ``fock``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import require_unitary
+from .linalg import _finite, _integer, require_unitary
 
 __all__ = [
     "CompositeGateParams",
@@ -60,16 +59,6 @@ def _reduce_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(r > math.pi, r - _TAU, np.where(r <= -math.pi, r + _TAU, r))
 
 
-def _angle(value, name: str) -> float:
-    """value as a float; booleans, non-numbers and non-finite values fail closed."""
-    try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise InvalidInputError(f"{name} must be a finite angle, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CompositeGateParams:
     """Parameters (alpha, beta, gamma, delta, epsilon) of the composite gate
@@ -88,7 +77,7 @@ class CompositeGateParams:
 
     def __post_init__(self):
         names = ("alpha", "beta", "gamma", "delta", "epsilon")
-        angles = np.array([_angle(getattr(self, name), name) for name in names])
+        angles = np.array([_finite(getattr(self, name), name) for name in names])
         for name, angle in zip(names, _reduce_angles(angles).tolist()):
             object.__setattr__(self, name, angle)
 
@@ -99,7 +88,7 @@ class CompositeGateParams:
 def beam_splitter(epsilon: float) -> np.ndarray:
     """Two-mode mixer exp(i*eps*(a2+a1 + a1+a2)); on the modes this is
     exp(i*eps*[[0, 1], [1, 0]])."""
-    s, c = exact_sin_cos(_angle(epsilon, "epsilon"))
+    s, c = exact_sin_cos(_finite(epsilon, "epsilon"))
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
@@ -132,10 +121,8 @@ class OpticalElement:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in self.modes):
-            raise InvalidInputError(f"mode indices must be integers, got {self.modes!r}")
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-        object.__setattr__(self, "angles", tuple(_angle(a, "element angle") for a in self.angles))
+        object.__setattr__(self, "modes", tuple(_integer(m, "mode index", 0) for m in self.modes))
+        object.__setattr__(self, "angles", tuple(_finite(a, "element angle") for a in self.angles))
         if self.kind == "phase-shifter":
             if len(self.modes) != 1 or len(self.angles) != 1:
                 raise InvalidInputError("phase-shifter takes one mode and one angle")
@@ -146,27 +133,21 @@ class OpticalElement:
                 raise InvalidInputError("beam-splitter modes must differ")
         else:
             raise InvalidInputError(f"unknown element kind {self.kind!r}")
-        if any(m < 0 for m in self.modes):
-            raise InvalidInputError(f"negative mode index in {self.modes}")
+
+
+def _block(element: OpticalElement) -> np.ndarray:
+    """The element's matrix on its own modes: 1 x 1 or 2 x 2."""
+    if element.kind == "phase-shifter":
+        return np.array([[np.exp(1j * element.angles[0])]])
+    th, ph = element.angles
+    s, c = exact_sin_cos(th)
+    eph = np.exp(1j * ph)
+    return np.array([[eph * c, 1j * s], [1j * eph * s, c]])
 
 
 def element_matrix(element: OpticalElement, dim: int) -> np.ndarray:
     """Dense dim x dim matrix of one element."""
-    if any(m >= dim for m in element.modes):
-        raise InvalidInputError(f"element touches mode {max(element.modes)}, dim is {dim}")
-    m = np.eye(dim, dtype=complex)
-    if element.kind == "phase-shifter":
-        m[element.modes[0], element.modes[0]] = np.exp(1j * element.angles[0])
-    else:
-        p, q = element.modes
-        th, ph = element.angles
-        s, c = exact_sin_cos(th)
-        eph = np.exp(1j * ph)
-        m[p, p] = eph * c
-        m[p, q] = 1j * s
-        m[q, p] = 1j * eph * s
-        m[q, q] = c
-    return m
+    return recompose([element], dim)
 
 
 def reck_decompose(v: np.ndarray) -> list[OpticalElement]:
@@ -178,7 +159,7 @@ def reck_decompose(v: np.ndarray) -> list[OpticalElement]:
     elements indistinguishable from the identity at ZERO_EPS are dropped.
     recompose(reck_decompose(v), M) reproduces v to ~1e-12 Frobenius.
     """
-    v = require_unitary(np.asarray(v, dtype=complex), name="mode matrix")
+    v = require_unitary(v, name="mode matrix")
     m = v.shape[0]
     work = v.copy()
     applied: list[OpticalElement] = []
@@ -210,12 +191,17 @@ def reck_decompose(v: np.ndarray) -> list[OpticalElement]:
 
 
 def recompose(elements: list[OpticalElement], dim: int) -> np.ndarray:
-    """Product of element matrices in list order (empty list -> identity)."""
-    if dim < 1:
-        raise InvalidInputError(f"dim must be >= 1, got {dim}")
+    """Product of element matrices in list order (empty list -> identity).
+
+    Each element mixes only the columns of its own modes, so M^2 / 2
+    elements on M modes cost O(M^3) in all."""
+    dim = _integer(dim, "dim", 1)
     out = np.eye(dim, dtype=complex)
     for el in elements:
-        out = out @ element_matrix(el, dim)
+        if max(el.modes) >= dim:
+            raise InvalidInputError(f"element touches mode {max(el.modes)}, dim is {dim}")
+        modes = list(el.modes)
+        out[:, modes] = out[:, modes] @ _block(el)
     return out
 
 

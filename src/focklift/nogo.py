@@ -32,7 +32,6 @@ of the packaged m3 and m4_ancilla runs has met that tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fock import _check_lift_size, basis_enumerate, lift_unitary
-from .linalg import exp_i_hermitian, require_unitary
+from .linalg import _as_square, _finite, _integer, exp_i_hermitian, require_unitary
 from .modes import _reduce_angles
 from .singlerail import _composite_gates, _couplings, entangling_measure, nearest_unitary_block
 
@@ -69,9 +68,7 @@ def bunched_partition(modes: int, photons: int) -> tuple[tuple[int, ...], tuple[
     occupations are unrestricted.  Returns (computational, bunched) index
     tuples into basis_enumerate(modes, photons).states.
     """
-    if modes < 2:
-        raise InvalidInputError(f"partition needs at least the two rail modes, got modes={modes}")
-    basis = basis_enumerate(modes, photons)
+    basis = basis_enumerate(_integer(modes, "modes", 2), photons)
     comp, bunch = [], []
     for i, s in enumerate(basis.states):
         (bunch if max(s[0], s[1]) >= 2 else comp).append(i)
@@ -87,11 +84,8 @@ def _coupling_mask(modes: int, photons: int) -> np.ndarray:
 
 def block_diagonality_defect(v: np.ndarray, split: int = 2) -> float:
     """Frobenius weight of both off-diagonal blocks of v at the given split."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got {v.shape}")
-    if not 0 < split < v.shape[0]:
-        raise InvalidInputError(f"split {split} out of range for dim {v.shape[0]}")
+    v = _as_square(v, "matrix")
+    split = _integer(split, "split", 1, v.shape[0] - 1)
     ur = v[:split, split:]
     ll = v[split:, :split]
     return math.sqrt(float(np.sum(np.abs(ur) ** 2) + np.sum(np.abs(ll) ** 2)))
@@ -104,9 +98,8 @@ def block_lemma_check(v: np.ndarray, split: int = 2) -> float:
     together, so the gap vanishes identically; in particular a unitary with
     a zero lower-left block has a zero upper-right block.
     """
-    v = require_unitary(np.asarray(v, dtype=complex), name="mode matrix")
-    if not 0 < split < v.shape[0]:
-        raise InvalidInputError(f"split {split} out of range for dim {v.shape[0]}")
+    v = require_unitary(v, name="mode matrix")
+    split = _integer(split, "split", 1, v.shape[0] - 1)
     ur = float(np.linalg.norm(v[:split, split:]))
     ll = float(np.linalg.norm(v[split:, :split]))
     return abs(ur - ll)
@@ -143,7 +136,7 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
     1e-10 raises RuntimeError since it can only come from a kernel defect.
     Block-diagonal v gives identically zero residuals.
     """
-    v = require_unitary(np.asarray(v, dtype=complex), name="mode matrix")
+    v = require_unitary(v, name="mode matrix")
     m = v.shape[0]
     if m < 3:
         raise InvalidInputError(f"residuals need at least one ancilla mode, got M={m}")
@@ -206,25 +199,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("modes", "ancilla_photons", "restarts", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name, low, high in (("modes", 2, None), ("ancilla_photons", 0, None),
+                                ("restarts", 1, MAX_RESTARTS), ("max_iterations", 1, None),
+                                ("seed", 0, None)):
+            _integer(getattr(self, name), name, low, high)
         for name in ("leakage_tolerance", "penalty_weight", "certification_threshold"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
-        if self.modes < 2:
-            raise InvalidInputError(f"modes must be >= 2, got {self.modes}")
-        if self.ancilla_photons < 0:
-            raise InvalidInputError(f"ancilla_photons must be >= 0, got {self.ancilla_photons}")
-        if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise InvalidInputError(f"restarts must be in 1..{MAX_RESTARTS}, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+            _finite(getattr(self, name), name)
         if self.leakage_tolerance <= 0:
             raise InvalidInputError("leakage_tolerance must be positive")
         if self.penalty_weight < 0:
@@ -445,9 +425,7 @@ def _run_restarts(task, args: tuple, count: int, jobs: int) -> list:
     integer >= 1, not a bool): an index draws from its own ``_task_rng``
     stream and comes out the same in any chunk (a restart follows its own
     Nelder-Mead path whatever it is stacked with)."""
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
-    jobs = min(jobs, count)
+    jobs = min(_integer(jobs, "jobs", 1), count)
     chunks = [args + (count * j // jobs, count * (j + 1) // jobs) for j in range(jobs)]
     if jobs == 1:
         return task(chunks[0])

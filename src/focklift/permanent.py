@@ -22,8 +22,9 @@ import itertools
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
+from .linalg import _as_square
 
-__all__ = ["permanent", "NAIVE_MAX_N", "RYSER_MAX_N"]
+__all__ = ["permanent"]
 
 NAIVE_MAX_N = 9
 RYSER_MAX_N = 24
@@ -99,14 +100,7 @@ def permanent(mat: np.ndarray, algorithm: str = "ryser") -> complex:
         rounding.  Past a route's size cap, or when the permanent of finite
         entries overflows float64, ``ResourceLimitError`` is raised.
     """
-    try:
-        mat = np.asarray(mat, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"permanent expects a complex matrix: {exc}") from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidInputError(f"permanent expects a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise InvalidInputError("permanent expects finite entries")
+    mat = _as_square(mat, "permanent matrix")
     if algorithm not in ("naive", "ryser"):
         raise InvalidInputError(f"unknown permanent algorithm {algorithm!r}")
     n = mat.shape[0]

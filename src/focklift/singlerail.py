@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, LeakyGateError
+from .errors import LeakyGateError
 from .fock import lift_unitary
+from .linalg import _as_square
 from .modes import CompositeGateParams, exact_sin_cos
 
 __all__ = [
@@ -76,17 +77,6 @@ _PHASE_TERMS = np.array([(0, 3, 8, 8), (1, 2, 8, 8), (0, 1, 6, 8), (0, 1, 7, 8),
 _PHASE_UNITS = np.array([1j] * 9 + [2j] * 4)[:, np.newaxis]
 
 
-def _finite_gate(gate: np.ndarray, dim: int, stack: bool = False) -> np.ndarray:
-    """gate as a complex dim x dim array, or with stack=True also an
-    (L, dim, dim) stack; non-finite entries fail closed."""
-    gate = np.asarray(gate, dtype=complex)
-    if gate.ndim not in ((2, 3) if stack else (2,)) or gate.shape[-2:] != (dim, dim):
-        raise InvalidInputError(f"expected a {dim} x {dim} gate, got {gate.shape}")
-    if not np.isfinite(gate).all():
-        raise InvalidInputError("gate has a non-finite entry")
-    return gate
-
-
 def composite_gate_fock(params: CompositeGateParams) -> np.ndarray:
     """Closed-form 6 x 6 Fock matrix of the composite gate.
 
@@ -121,9 +111,7 @@ def _composite_gates(angles: np.ndarray) -> np.ndarray:
 
 def assemble_from_mode_matrix(v: np.ndarray) -> np.ndarray:
     """6 x 6 Fock matrix of a two-mode unitary from its lift to sectors 0..2."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (2, 2):
-        raise InvalidInputError(f"expected a 2 x 2 mode matrix, got {v.shape}")
+    v = _as_square(v, "mode matrix", dim=2)
     zero, one, two = lift_unitary(v, 2).sectors
     u = np.zeros((6, 6), dtype=complex)
     u[0, 0] = zero[0, 0]
@@ -151,7 +139,7 @@ def leakage(gate: np.ndarray) -> LeakageReport:
     For the composite gate this equals sqrt(2) * |sin(2 eps)|, which vanishes
     exactly when eps is a multiple of pi/2.
     """
-    mags, total = _couplings(_finite_gate(gate, 6)[np.newaxis])
+    mags, total = _couplings(_as_square(gate, "gate", dim=6)[np.newaxis])
     offending = tuple((r, c, float(mag)) for (r, c), mag in zip(_LEAK_ENTRIES, mags[0])
                       if mag > LISTING_TOL)
     return LeakageReport(frobenius_leakage=float(total[0]), offending=offending)
@@ -209,7 +197,8 @@ def decoupled_form_odd(n: int, alpha: float, beta: float, gamma: float, delta: f
 def computational_block(gate: np.ndarray) -> np.ndarray:
     """Raw 4 x 4 computational block in qubit order 2*n1 + n2 (no projection);
     an (L, 6, 6) stack gives an (L, 4, 4) stack."""
-    return _finite_gate(gate, 6, stack=True)[..., _QUBIT_ORDER[:, np.newaxis], _QUBIT_ORDER]
+    gate = _as_square(gate, "gate", stack=True, dim=6)
+    return gate[..., _QUBIT_ORDER[:, np.newaxis], _QUBIT_ORDER]
 
 
 def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
@@ -247,7 +236,7 @@ def entangling_measure(gate: np.ndarray):
     unitaries on either side; CNOT scores 1/2.  A 4 x 4 gate gives a float,
     an (L, 4, 4) stack an (L,) array, each entry as for its gate alone.
     """
-    gate = _finite_gate(gate, 4, stack=True)
+    gate = _as_square(gate, "gate", stack=True, dim=4)
     top = np.linalg.svd(gate.reshape(-1, 16).take(_RESHUFFLES, axis=1), compute_uv=False)[:, :, 0]
     s = np.maximum.reduce(top, axis=1)  # the larger s gives the smaller 1 - s^2 / 4
     measure = np.maximum(0.0, 1.0 - (s * s) / 4.0)

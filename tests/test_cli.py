@@ -237,6 +237,7 @@ def test_nogo_rejects_bad_config(tmp_path):
     ("restarts", "3"),
     ("seed", "x"),
     ("certification_threshold", -1),
+    pytest.param("penalty_weight", 10 ** 400, id="penalty_weight-400-digits"),
 ])
 def test_nogo_rejects_malformed_field_values(tmp_path, field, value):
     # NaN and inf reach the config as JSON's NaN/Infinity tokens
@@ -335,11 +336,13 @@ def test_lift_usage_errors(tmp_path):
     [["NaN", "NaN"], ["NaN", "NaN"]],
     [[1, "Infinity"], [0, 1]],
     pytest.param([[True, False], [False, True]], id="boolean"),
+    pytest.param([[10 ** 400, 0], [0, 1]], id="400-digits"),
     pytest.param(b"[[1, 0], [0, 1]] \xff", id="not-utf8"),
 ])
 def test_non_finite_matrix_file_is_usage_error(tmp_path, command, entries):
     # lift once wrote bare NaN tokens with exit 0; netlist died in round(NaN);
-    # true/false once lifted as 1/0, and a non-UTF-8 file gave a traceback
+    # true/false once lifted as 1/0, and a non-UTF-8 file or a 400-digit
+    # entry gave a traceback
     src = tmp_path / "v.json"
     if not isinstance(entries, bytes):
         entries = json.dumps(entries).replace('"', "").encode()

@@ -57,6 +57,14 @@ def test_basis_validation():
         basis_enumerate(2, -1)
     with pytest.raises(ResourceLimitError):
         basis_enumerate(30, 12)
+    # True == 1, so a cache keyed on equal counts once answered True as 1
+    v = haar_random_unitary(3, 5)
+    lift_unitary(v, 1)
+    for photons in (True, 1.0):
+        with pytest.raises(InvalidInputError, match="photons"):
+            lift_unitary(v, photons)
+        with pytest.raises(InvalidInputError, match="photons"):
+            basis_enumerate(3, photons)
 
 
 # ---------------------------------------------------------------------------

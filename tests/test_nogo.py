@@ -117,10 +117,15 @@ def test_block_defect_known_value():
     v[0, 3] = 0.3
     v[3, 1] = 0.4
     assert block_diagonality_defect(v, 2) == pytest.approx(0.5)
-    with pytest.raises(InvalidInputError):
-        block_diagonality_defect(v, 0)
+    # True once split as 1, and a NaN matrix once gave a NaN defect
+    for split in (0, 4, True, 1.5):
+        for check in (block_diagonality_defect, block_lemma_check):
+            with pytest.raises(InvalidInputError, match="split"):
+                check(np.eye(4), split)
     with pytest.raises(InvalidInputError):
         block_diagonality_defect(np.ones((2, 3)), 1)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        block_diagonality_defect(np.full((4, 4), np.nan), 2)
 
 
 def test_lemma_gap_vanishes_on_unitaries():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from focklift.errors import InvalidInputError, LeakyGateError
-from focklift.linalg import haar_random_unitary, require_unitary
+from focklift.linalg import _as_square, haar_random_unitary, require_unitary
 from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
 from focklift.singlerail import (
-    _finite_gate,
     _RESHUFFLES,
     BASIS_SIX,
     assemble_from_mode_matrix,
@@ -37,7 +36,7 @@ def operator_schmidt_values(gate: np.ndarray) -> np.ndarray:
     Singular values of the reshuffled matrix R[(r1,c1),(r2,c2)] =
     g[(r1,r2),(c1,c2)]; their squares sum to ||g||_F^2 = 4 for unitary g.
     """
-    r = _finite_gate(gate, 4).reshape(16)[_RESHUFFLES[0]]
+    r = _as_square(gate, "gate", dim=4).reshape(16)[_RESHUFFLES[0]]
     return np.linalg.svd(r, compute_uv=False)
 
 
