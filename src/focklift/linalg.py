@@ -118,11 +118,12 @@ def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray
 
     Complex Ginibre matrix, QR factorization, then column k is rescaled by
     conj(r_kk)/|r_kk| to detach the sample from the QR phase convention.
-    The seed is either an integer fed to numpy's default PCG64 generator or
-    an existing Generator (useful for spawned streams).
+    The seed is either a non-negative integer fed to numpy's default PCG64
+    generator or an existing Generator (useful for spawned streams).
     """
     dim = _integer(dim, "dim", 1)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(_integer(seed, "seed", 0)))
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

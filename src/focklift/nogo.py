@@ -41,7 +41,8 @@ from .errors import InvalidInputError
 from .fock import _check_lift_size, basis_enumerate, lift_unitary
 from .linalg import _as_square, _finite, _integer, exp_i_hermitian, require_unitary
 from .modes import _reduce_angles
-from .singlerail import _composite_gates, _couplings, entangling_measure, nearest_unitary_block
+from .singlerail import (_composite_gates, _couplings, _polar_blocks, entangling_measure,
+                         nearest_unitary_block)
 
 __all__ = [
     "SearchConfig",
@@ -645,10 +646,9 @@ class _AncillaFamily:
         cols[:, self.blocks] = blocks - amps * chi[:, None, :]
         gate = np.zeros((lanes, 4, 4), dtype=complex)
         gate.reshape(lanes, 16)[:, self.gate_at] = amps[:, self.gate_rows, 0]
-        u, _, vh = np.linalg.svd(gate)
         scores = np.empty((lanes, 2))
         # written into its column, so a replacement measure may return a scalar
-        scores[:, 0] = entangling_measure(u @ vh)
+        scores[:, 0] = entangling_measure(_polar_blocks(gate))
         a, b = self.starts
         sq = cols.real * cols.real + cols.imag * cols.imag
         # closed-form error-avoidance amplitudes 2 v[r, i]^2, rails r, ancillas i

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeakyGateError
+from .errors import InvalidInputError, LeakyGateError
 from .fock import lift_unitary
-from .linalg import _as_square
+from .linalg import _as_square, _finite, _integer
 from .modes import CompositeGateParams, exact_sin_cos
 
 __all__ = [
@@ -63,6 +63,13 @@ SWAP = np.array(
 # g[(r1,r2),(c1,c2)], and of its SWAP twin, g[(r2,r1),(c1,c2)]
 _RESHUFFLES = np.stack([np.arange(16).reshape(2, 2, 2, 2).transpose(axes)
                         for axes in ((0, 2, 1, 3), (1, 2, 0, 3))]).reshape(2, 4, 4)
+
+# diag(a, W, b) is 0 at _OFF_BLOCK; _POLAR_AT: a, b, det's row, W, W reversed;
+# _SCHMIDT_AT: [[a, x], [y, b]] of the two reshuffles, interleaved
+_OFF_BLOCK = np.array([1, 2, 3, 4, 7, 8, 11, 12, 13, 14])
+_POLAR_AT = np.array([0, 15, 0, 5, 6, 9, 10, 10, 9, 6, 5])
+_SCHMIDT_AT = np.array([0, 0, 5, 9, 10, 6, 15, 15])
+_COF_SIGN = np.array([[1], [-1], [-1], [1]], dtype=complex)
 
 
 # the composite gate's 13 phase entries as flat indices 6 * row + column,
@@ -155,12 +162,18 @@ def _couplings(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mags, np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
 
 
+def _decoupled_args(n, *angles) -> tuple:
+    """n as any integer and the four angles as finite floats, or InvalidInputError."""
+    return (_integer(n, "n", -math.inf), *(_finite(a, "angle") for a in angles))
+
+
 def decoupled_form_even(n: int, alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
     """Exact composite gate at eps = n*pi: a diagonal phase gate.
 
     diag(1, (-1)^n e^{i(a+g)}, (-1)^n e^{i(b+d)}, e^{i(a+b+g+d)},
          e^{2i(a+g)}, e^{2i(b+d)}); leakage is identically zero.
     """
+    n, alpha, beta, gamma, delta = _decoupled_args(n, alpha, beta, gamma, delta)
     sign = -1.0 if n % 2 else 1.0
     ph = np.exp
     return np.diag(
@@ -182,6 +195,7 @@ def decoupled_form_odd(n: int, alpha: float, beta: float, gamma: float, delta: f
     (-1)^n i e^{i(b+g)}; two-photon block maps |11> to -|11> and exchanges
     the bunched pair; leakage is identically zero.
     """
+    n, alpha, beta, gamma, delta = _decoupled_args(n, alpha, beta, gamma, delta)
     sign = -1.0 if n % 2 else 1.0
     ph = np.exp
     u = np.zeros((6, 6), dtype=complex)
@@ -205,12 +219,42 @@ def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
     """Polar-project the computational block without a leakage gate.
 
     Diagnostic companion to ``extract_computational`` for sweeps over leaky
-    parameter regions; rank-deficient blocks (isolated points such as
-    eps = pi/4) resolve through the SVD factors.  An (L, 6, 6) stack gives
-    an (L, 4, 4) stack, each entry as for its gate alone.
+    parameter regions.  The block is diag(a, W, b) by photon number and has a
+    closed-form polar factor, ``_polar_blocks``, unitary also at rank-deficient
+    points such as eps = pi/4; a nonzero entry between photon numbers raises
+    InvalidInputError.  An (L, 6, 6) stack gives an (L, 4, 4) stack, each
+    entry as for its gate alone.
     """
-    u, _, vh = np.linalg.svd(computational_block(gate))
-    return u @ vh
+    block = computational_block(gate)
+    mixed = np.argwhere(block.reshape(-1, 16).take(_OFF_BLOCK, axis=1))
+    if len(mixed):
+        raise InvalidInputError(f"entry {divmod(int(_OFF_BLOCK[mixed[0, 1]]), 4)} of computational "
+                                f"block {mixed[0, 0]} is nonzero: photon number not conserved")
+    return _polar_blocks(block.reshape(-1, 4, 4)).reshape(block.shape)
+
+
+def _polar_blocks(gates: np.ndarray) -> np.ndarray:
+    """Polar factors of an (L, 4, 4) stack of diag(a, W, b) gates (Higham, Functions of
+    Matrices, 2008, ch. 8): phases of a, b, and W + e^{i arg det W} conj(cof W) over its
+    Frobenius norm / sqrt 2, unitary also at rank 1; 0 has phase 1, and W = 0 goes to 1."""
+    n = len(gates)
+    y = gates.reshape(n, 16).T.take(_POLAR_AT, axis=0)
+    y[2] = y[3] * y[7] - y[4] * y[8]  # det W
+    size = np.abs(y[:3])
+    if np.count_nonzero(size > 1e-290) < size.size:
+        # 0 takes the phase 1; z / |z| overflows at a subnormal |z|, so scale it up, exactly
+        y[:3][size <= 1e-290] *= 2.0 ** 1000
+        size = np.abs(y[:3])
+        y[:3][size == 0], size[size == 0] = 1.0, 1.0
+    phase = y[:3] / size  # not np.sign, which numpy < 2 takes from Re z alone
+    s = y[3:7] + phase[2] * _COF_SIGN * y[7:].conj()
+    norm = np.hypot.reduce(np.abs(s), axis=0) / math.sqrt(2.0)  # W = 1 keeps norm 1 exactly
+    if np.count_nonzero(norm) < n:
+        s[::3, norm == 0], norm[norm == 0] = 1.0, 1.0
+    s /= norm
+    out = np.zeros((16, n), dtype=complex)
+    out[::15], out[5:7], out[9:11] = phase[:2], s[:2], s[2:]
+    return out.T.reshape(n, 4, 4)
 
 
 def extract_computational(gate: np.ndarray) -> np.ndarray:
@@ -235,9 +279,24 @@ def entangling_measure(gate: np.ndarray):
     is the top operator-Schmidt coefficient.  Invariant under local
     unitaries on either side; CNOT scores 1/2.  A 4 x 4 gate gives a float,
     an (L, 4, 4) stack an (L,) array, each entry as for its gate alone.
+
+    A gate diag(a, W, b), exactly 0 between photon numbers, is scored in closed
+    form (Nielsen et al., PRA 67, 052301, 2003): its reshuffle's sigma_1^2 is that
+    of [[a, w11], [w22, b]], (p + r)/2 + hypot((p - r)/2, |q|) by the Gram matrix
+    [[p, q], [q*, r]] (the lone values |w12|, |w21| sit in the SWAP twin's block).
+    Other gates take the SVD of both reshuffles.
     """
     gate = _as_square(gate, "gate", stack=True, dim=4)
-    top = np.linalg.svd(gate.reshape(-1, 16).take(_RESHUFFLES, axis=1), compute_uv=False)[:, :, 0]
-    s = np.maximum.reduce(top, axis=1)  # the larger s gives the smaller 1 - s^2 / 4
-    measure = np.maximum(0.0, 1.0 - (s * s) / 4.0)
+    flat = gate.reshape(-1, 16)
+    x = flat.T.take(_SCHMIDT_AT, axis=0)
+    sq, q = np.abs(x) ** 2, x[:4] * x[4:].conj()
+    p, r = sq[:2] + sq[2:4], sq[4:6] + sq[6:]  # rows |a|^2 + |x|^2 and |y|^2 + |b|^2
+    top = (p + r) + np.hypot(p - r, 2.0 * np.abs(q[:2] + q[2:]))  # 2 sigma_1^2
+    s2 = 0.5 * np.maximum(top[0], top[1])  # the larger s^2 gives the smaller 1 - s^2 / 4
+    mixed = flat.take(_OFF_BLOCK, axis=1)
+    if np.count_nonzero(mixed):
+        rows = mixed.any(axis=1)
+        s = np.linalg.svd(flat[rows].take(_RESHUFFLES, axis=1), compute_uv=False)[:, :, 0]
+        s2[rows] = s.max(axis=1) ** 2
+    measure = np.maximum(0.0, 1.0 - s2 / 4.0)
     return float(measure[0]) if gate.ndim == 2 else measure

@@ -120,6 +120,13 @@ def test_haar_random_unitary_determinism_and_shapes():
         haar_random_unitary(0, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None],
+                         ids=["negative", "float", "bool", "string", "none"])
+def test_haar_random_unitary_rejects_a_bad_seed(seed):
+    with pytest.raises(InvalidInputError, match="seed"):
+        haar_random_unitary(3, seed)
+
+
 def test_haar_phase_statistics():
     # column phases should not cluster: the QR phase fix removes the
     # diag-positive bias of plain QR

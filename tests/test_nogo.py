@@ -789,6 +789,16 @@ def test_two_mode_stack_scores_each_row_as_its_gate_alone():
         assert abs(leak - ref_leakage) <= 1e-15
 
 
+def test_two_mode_scores_follow_the_closed_form_tradeoff():
+    # with d = |remainder(eps, pi/2)|, the measure is 1 - cos^4(d/2) and the
+    # leakage sqrt2 sin 2d, whatever the four phases
+    xs = np.random.default_rng(39).uniform(-math.pi, math.pi, (4000, 5))
+    d = np.abs([math.remainder(eps, math.pi / 2) for eps in xs[:, 4]])
+    measure, leak = _TwoModeFamily().scores(xs).T
+    assert np.max(np.abs(measure - (1.0 - np.cos(d / 2) ** 4))) <= 1e-12
+    assert np.max(np.abs(leak - math.sqrt(2) * np.sin(2 * d))) <= 1e-12
+
+
 def ancilla_rows(modes, seed, count):
     """count random generators, then edge rows: the zero generator, a
     rail-ancilla swap that empties the ancilla part of the |0 0> output

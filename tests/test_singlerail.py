@@ -150,6 +150,23 @@ def test_decoupled_forms_match_generic_route():
             assert np.max(np.abs(odd - generic)) < 1e-12
 
 
+@pytest.mark.parametrize("form", [decoupled_form_even, decoupled_form_odd])
+@pytest.mark.parametrize("args", [
+    (0, math.nan, 0, 0, 0), (0, 0, math.inf, 0, 0), (0, 0, 0, "x", 0), (0, 0, 0, 0, True),
+    (True, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, 0, 10 ** 400, 0),
+], ids=["nan", "inf", "string", "bool-angle", "bool-n", "float-n", "400-digits"])
+def test_decoupled_forms_fail_closed(form, args):
+    with pytest.raises(InvalidInputError):
+        form(*args)
+
+
+def test_decoupled_forms_take_negative_n():
+    assert np.array_equal(decoupled_form_even(-2, 0.1, 0.2, 0.3, 0.4),
+                          decoupled_form_even(2, 0.1, 0.2, 0.3, 0.4))
+    assert np.array_equal(decoupled_form_odd(-1, 0.1, 0.2, 0.3, 0.4),
+                          decoupled_form_odd(1, 0.1, 0.2, 0.3, 0.4))
+
+
 def test_decoupled_forms_have_literally_zero_leakage():
     even = decoupled_form_even(1, 0.3, -0.2, 0.9, 1.4)
     odd = decoupled_form_odd(0, 0.3, -0.2, 0.9, 1.4)
@@ -205,6 +222,89 @@ def test_nearest_unitary_block_is_unitary_and_faithful_when_decoupled():
     assert np.max(np.abs(near - computational_block(clean))) < 1e-12
     leaky = composite_gate_fock(CompositeGateParams(0.3, 0.1, -0.2, 0.8, 0.77))
     require_unitary(nearest_unitary_block(leaky))
+
+
+# ---------------------------------------------------------------------------
+# closed-form scores of 1 + 2 + 1 gates against the SVD
+# ---------------------------------------------------------------------------
+
+# the computational entries of a 6 x 6 gate in qubit order 2*n1 + n2
+QUBIT = np.array([0, 2, 1, 3])
+
+
+def random_blocks(rng, count):
+    """count random non-unitary 1 + 2 + 1 blocks, (count, 4, 4) in qubit order."""
+    blocks = np.zeros((count, 4, 4), dtype=complex)
+    for r, c in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)):
+        blocks[:, r, c] = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return blocks
+
+
+def as_gates(blocks):
+    """(L, 6, 6) gates with these computational blocks and an idle bunched pair."""
+    gates = np.zeros((len(blocks), 6, 6), dtype=complex)
+    gates[:, 4, 4] = gates[:, 5, 5] = 1.0
+    gates[:, QUBIT[:, np.newaxis], QUBIT] = blocks
+    return gates
+
+
+def svd_measure(gates):
+    """The measure from one SVD of each reshuffle, the oracle of the closed form."""
+    top = np.linalg.svd(gates.reshape(-1, 16)[:, _RESHUFFLES], compute_uv=False)[:, :, 0]
+    s = top.max(axis=1)
+    return np.maximum(0.0, 1.0 - s * s / 4.0)
+
+
+def test_closed_form_matches_the_svd_on_random_blocks():
+    blocks = random_blocks(np.random.default_rng(36), 20_000)
+    u, _, vh = np.linalg.svd(blocks)
+    near = nearest_unitary_block(as_gates(blocks))
+    assert np.max(np.abs(near - u @ vh)) <= 1e-13
+    assert np.max(np.abs(entangling_measure(blocks) - svd_measure(blocks))) <= 1e-14
+    assert np.max(np.abs(entangling_measure(near) - svd_measure(near))) <= 1e-14
+
+
+def test_degenerate_blocks_give_a_unitary_and_a_finite_measure():
+    # the eps = pi/4 gate, whose |11> amplitude cos(2 eps) is 0 (the float pi/4 leaves 2e-16)
+    quarter = composite_gate_fock(CompositeGateParams(0.3, -0.4, 1.1, 0.2, math.pi / 4))
+    quarter[3, 3] = 0.0
+    rank_one = as_gates(random_blocks(np.random.default_rng(37), 1))[0]
+    rank_one[1:3, 1:3] = np.outer([1.0, 0.5j], [0.3 - 1j, 2.0])
+    empty = rank_one.copy()
+    empty[1:3, 1:3] = 0.0
+    # a subnormal 1 x 1 entry, and a W whose det is subnormal
+    tiny = composite_gate_fock(CompositeGateParams(0.3, 0.1, -0.2, 0.8, 0.77))
+    tiny[0, 0], tiny[1:3, 1:3] = 1e-320 * (1 + 1j), 1e-158 * tiny[1:3, 1:3]
+    gates = [quarter, rank_one, empty, tiny]
+    for gate in gates:
+        near = require_unitary(nearest_unitary_block(gate))
+        assert 0.0 <= entangling_measure(near) <= 0.75
+        assert 0.0 <= entangling_measure(computational_block(gate)) <= 1.0
+    assert nearest_unitary_block(quarter)[3, 3] == 1.0  # a zero 1 x 1 entry takes the phase 1
+    assert np.array_equal(nearest_unitary_block(empty)[1:3, 1:3], np.eye(2))
+    assert np.array_equal(nearest_unitary_block(np.array(gates)),
+                          np.array([nearest_unitary_block(g) for g in gates]))
+
+
+def test_nearest_unitary_block_fails_closed_off_the_photon_number_blocks():
+    clean = composite_gate_fock(CompositeGateParams(0.3, 0.1, -0.2, 0.8, 0.77))
+    mixed = clean.copy()
+    mixed[0, 1] = 1e-17  # vacuum <- one photon
+    with pytest.raises(InvalidInputError, match=r"entry \(0, 2\) of computational block 0 "):
+        nearest_unitary_block(mixed)
+    with pytest.raises(InvalidInputError, match="block 1 is nonzero: photon number"):
+        nearest_unitary_block(np.array([clean, mixed]))
+
+
+def test_a_mixed_stack_scores_each_row_as_it_scores_alone():
+    # CNOT and a Haar gate take the SVD, the 1 + 2 + 1 rows the closed form
+    rng = np.random.default_rng(38)
+    gates = np.concatenate([random_blocks(rng, 2), [CNOT, haar_random_unitary(4, rng)],
+                            random_blocks(rng, 2)])
+    stacked = entangling_measure(gates)
+    assert list(stacked) == [entangling_measure(g) for g in gates]
+    assert np.array_equal(stacked[2:4], svd_measure(gates[2:4]))
+    assert stacked[2] == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
