@@ -162,18 +162,14 @@ def _couplings(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mags, np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
 
 
-def _decoupled_args(n, *angles) -> tuple:
-    """n as any integer and the four angles as finite floats, or InvalidInputError."""
-    return (_integer(n, "n", -math.inf), *(_finite(a, "angle") for a in angles))
-
-
 def decoupled_form_even(n: int, alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
     """Exact composite gate at eps = n*pi: a diagonal phase gate.
 
     diag(1, (-1)^n e^{i(a+g)}, (-1)^n e^{i(b+d)}, e^{i(a+b+g+d)},
          e^{2i(a+g)}, e^{2i(b+d)}); leakage is identically zero.
     """
-    n, alpha, beta, gamma, delta = _decoupled_args(n, alpha, beta, gamma, delta)
+    n = _integer(n, "n", -math.inf)
+    alpha, beta, gamma, delta = (_finite(a, "angle") for a in (alpha, beta, gamma, delta))
     sign = -1.0 if n % 2 else 1.0
     ph = np.exp
     return np.diag(
@@ -195,7 +191,8 @@ def decoupled_form_odd(n: int, alpha: float, beta: float, gamma: float, delta: f
     (-1)^n i e^{i(b+g)}; two-photon block maps |11> to -|11> and exchanges
     the bunched pair; leakage is identically zero.
     """
-    n, alpha, beta, gamma, delta = _decoupled_args(n, alpha, beta, gamma, delta)
+    n = _integer(n, "n", -math.inf)
+    alpha, beta, gamma, delta = (_finite(a, "angle") for a in (alpha, beta, gamma, delta))
     sign = -1.0 if n % 2 else 1.0
     ph = np.exp
     u = np.zeros((6, 6), dtype=complex)
@@ -219,11 +216,10 @@ def nearest_unitary_block(gate: np.ndarray) -> np.ndarray:
     """Polar-project the computational block without a leakage gate.
 
     Diagnostic companion to ``extract_computational`` for sweeps over leaky
-    parameter regions.  The block is diag(a, W, b) by photon number and has a
-    closed-form polar factor, ``_polar_blocks``, unitary also at rank-deficient
-    points such as eps = pi/4; a nonzero entry between photon numbers raises
-    InvalidInputError.  An (L, 6, 6) stack gives an (L, 4, 4) stack, each
-    entry as for its gate alone.
+    parameter regions.  The block diag(a, W, b) has the closed-form polar factor
+    ``_polar_blocks``, unitary also at rank-deficient points such as eps = pi/4; a
+    nonzero entry between photon numbers raises InvalidInputError.  An (L, 6, 6)
+    stack gives an (L, 4, 4) stack, each entry as for its gate alone.
     """
     block = computational_block(gate)
     mixed = np.argwhere(block.reshape(-1, 16).take(_OFF_BLOCK, axis=1))
@@ -241,16 +237,19 @@ def _polar_blocks(gates: np.ndarray) -> np.ndarray:
     y = gates.reshape(n, 16).T.take(_POLAR_AT, axis=0)
     y[2] = y[3] * y[7] - y[4] * y[8]  # det W
     size = np.abs(y[:3])
-    if np.count_nonzero(size > 1e-290) < size.size:
-        # 0 takes the phase 1; z / |z| overflows at a subnormal |z|, so scale it up, exactly
-        y[:3][size <= 1e-290] *= 2.0 ** 1000
+    if np.count_nonzero((size > 1e-290) & (size < 1e290)) < size.size:
+        # scale W, then a, b and det W, into [0.5, 1) by powers of 2, which is exact and moves
+        # no polar factor; W = 0 goes to 1, and 0 takes the phase 1
+        f = y.view(float)
+        np.ldexp(f[3:], -np.repeat(np.frexp(np.abs(y[3:7]).max(axis=0))[1], 2), out=f[3:])
+        y[np.ix_((3, 6, 7, 10), ~y[3:7].any(axis=0))] = 1.0
+        y[2] = y[3] * y[7] - y[4] * y[8]
+        np.ldexp(f[:3], -np.repeat(np.frexp(np.abs(y[:3]))[1], 2, axis=1), out=f[:3])
+        y[:3][y[:3] == 0] = 1.0
         size = np.abs(y[:3])
-        y[:3][size == 0], size[size == 0] = 1.0, 1.0
     phase = y[:3] / size  # not np.sign, which numpy < 2 takes from Re z alone
     s = y[3:7] + phase[2] * _COF_SIGN * y[7:].conj()
     norm = np.hypot.reduce(np.abs(s), axis=0) / math.sqrt(2.0)  # W = 1 keeps norm 1 exactly
-    if np.count_nonzero(norm) < n:
-        s[::3, norm == 0], norm[norm == 0] = 1.0, 1.0
     s /= norm
     out = np.zeros((16, n), dtype=complex)
     out[::15], out[5:7], out[9:11] = phase[:2], s[:2], s[2:]
@@ -280,11 +279,9 @@ def entangling_measure(gate: np.ndarray):
     unitaries on either side; CNOT scores 1/2.  A 4 x 4 gate gives a float,
     an (L, 4, 4) stack an (L,) array, each entry as for its gate alone.
 
-    A gate diag(a, W, b), exactly 0 between photon numbers, is scored in closed
-    form (Nielsen et al., PRA 67, 052301, 2003): its reshuffle's sigma_1^2 is that
-    of [[a, w11], [w22, b]], (p + r)/2 + hypot((p - r)/2, |q|) by the Gram matrix
-    [[p, q], [q*, r]] (the lone values |w12|, |w21| sit in the SWAP twin's block).
-    Other gates take the SVD of both reshuffles.
+    A gate diag(a, W, b), exactly 0 between photon numbers, takes the closed form
+    (Nielsen et al., PRA 67, 052301, 2003): sigma_1^2 of [[a, w11], [w22, b]] and of
+    its SWAP twin's block from their Gram matrices; other gates take the SVD.
     """
     gate = _as_square(gate, "gate", stack=True, dim=4)
     flat = gate.reshape(-1, 16)
@@ -298,5 +295,5 @@ def entangling_measure(gate: np.ndarray):
         rows = mixed.any(axis=1)
         s = np.linalg.svd(flat[rows].take(_RESHUFFLES, axis=1), compute_uv=False)[:, :, 0]
         s2[rows] = s.max(axis=1) ** 2
-    measure = np.maximum(0.0, 1.0 - s2 / 4.0)
+    measure = np.fmax(0.0, 1.0 - s2 / 4.0)  # entries past 1e154 make inf - inf, and score 0
     return float(measure[0]) if gate.ndim == 2 else measure

@@ -275,13 +275,28 @@ def test_degenerate_blocks_give_a_unitary_and_a_finite_measure():
     # a subnormal 1 x 1 entry, and a W whose det is subnormal
     tiny = composite_gate_fock(CompositeGateParams(0.3, 0.1, -0.2, 0.8, 0.77))
     tiny[0, 0], tiny[1:3, 1:3] = 1e-320 * (1 + 1j), 1e-158 * tiny[1:3, 1:3]
-    gates = [quarter, rank_one, empty, tiny]
+    # W = 1e-170 diag(1, i) in qubit order: its det underflows to 0, though W has full rank
+    faint = quarter.copy()
+    faint[1:3, 1:3] = 1e-170 * np.diag([1j, 1.0])
+    gates = [quarter, rank_one, empty, tiny, faint]
     for gate in gates:
         near = require_unitary(nearest_unitary_block(gate))
         assert 0.0 <= entangling_measure(near) <= 0.75
         assert 0.0 <= entangling_measure(computational_block(gate)) <= 1.0
     assert nearest_unitary_block(quarter)[3, 3] == 1.0  # a zero 1 x 1 entry takes the phase 1
     assert np.array_equal(nearest_unitary_block(empty)[1:3, 1:3], np.eye(2))
+    assert np.max(np.abs(nearest_unitary_block(faint)[1:3, 1:3] - np.diag([1.0, 1j]))) <= 1e-15
+    for gate in (tiny, faint):  # the polar factor of a block does not change with its scale
+        u, _, vh = np.linalg.svd(computational_block(gate) * 2.0 ** 600)
+        assert np.max(np.abs(nearest_unitary_block(gate) - u @ vh)) <= 1e-13
+    # W = 1e160 W0, whose det overflows, and |11> = 1e300 e^{i.}: the same polar factor
+    gate = composite_gate_fock(CompositeGateParams(0.3, 0.1, -0.2, 0.8, 0.77))
+    huge = gate.copy()
+    huge[3, 3], huge[1:3, 1:3] = 1e300 * gate[3, 3], 1e160 * gate[1:3, 1:3]
+    with np.errstate(over="ignore", invalid="ignore"):  # det W is inf - inf before the rescale
+        assert np.max(np.abs(nearest_unitary_block(huge) - nearest_unitary_block(gate))) <= 1e-13
+        # p = r = inf in both reshuffle blocks; the SVD scores such a gate 0 too
+        assert entangling_measure(np.diag([1e300, 1.0, 1.0, 1e300])[[0, 2, 1, 3]]) == 0.0
     assert np.array_equal(nearest_unitary_block(np.array(gates)),
                           np.array([nearest_unitary_block(g) for g in gates]))
 
