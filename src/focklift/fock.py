@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import _as_square, _integer, require_unitary
-from .permanent import _BLOCK_ENTRIES
 
 __all__ = [
     "FockBasis",
@@ -49,6 +48,8 @@ __all__ = [
 # dominate its single entry).
 MAX_BASIS_SIZE = 10_000
 PRUNE_EPS = 1e-15  # OccupationPolynomial.prune drops terms with coefficients this small
+# Complex entries in one row chunk of a lift's gather (2^13 x 16 B = 128 KiB)
+_BLOCK_ENTRIES = 1 << 13
 
 
 def _occupations(modes: int, photons: int):

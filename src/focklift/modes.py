@@ -135,13 +135,12 @@ class OpticalElement:
             raise InvalidInputError(f"unknown element kind {self.kind!r}")
 
 
-def _block(element: OpticalElement) -> np.ndarray:
-    """The element's matrix on its own modes: 1 x 1 or 2 x 2."""
+def _block(element: OpticalElement, s: float, c: float) -> np.ndarray:
+    """The element's matrix on its own modes: 1 x 1 or 2 x 2, given the
+    exact (sin, cos) of its first angle."""
     if element.kind == "phase-shifter":
         return np.array([[np.exp(1j * element.angles[0])]])
-    th, ph = element.angles
-    s, c = exact_sin_cos(th)
-    eph = np.exp(1j * ph)
+    eph = np.exp(1j * element.angles[1])
     return np.array([[eph * c, 1j * s], [1j * eph * s, c]])
 
 
@@ -197,11 +196,12 @@ def recompose(elements: list[OpticalElement], dim: int) -> np.ndarray:
     elements on M modes cost O(M^3) in all."""
     dim = _integer(dim, "dim", 1)
     out = np.eye(dim, dtype=complex)
-    for el in elements:
+    sin, cos = exact_sin_cos([el.angles[0] for el in elements])
+    for el, s, c in zip(elements, sin, cos):
         if max(el.modes) >= dim:
             raise InvalidInputError(f"element touches mode {max(el.modes)}, dim is {dim}")
         modes = list(el.modes)
-        out[:, modes] = out[:, modes] @ _block(el)
+        out[:, modes] = out[:, modes] @ _block(el, s, c)
     return out
 
 

@@ -11,9 +11,10 @@ The Ryser kernel is the one production route of ``permanent``; the Fock
 lift computes no permanents (``fock.lift_unitary`` builds each sector from
 the one below it).  The kernel splits the columns after the first in two.
 The signed row sums of every sign pattern of the inner columns are
-tabulated at once (2^(n-1) patterns for small n, 2^8 at n = 20); the outer
-columns are walked in Gray-code order, each step flipping one sign in
-place in the whole table and then reducing it.
+tabulated at once (2^(n-1) patterns for small n, 2^9 at n = 20); the outer
+columns are walked in Gray-code order, each step updating the whole table
+in place and adding its signed column products into one accumulator, which
+one dot with the inner signs closes.
 """
 from __future__ import annotations
 
@@ -29,10 +30,9 @@ __all__ = ["permanent"]
 NAIVE_MAX_N = 9
 RYSER_MAX_N = 24
 
-# Complex entries in one block of the sign table (2^13 x 16 B = 128 KiB).
-# The tabulated columns are as many as fit one block.  fock.lift_unitary
-# bounds its row chunks by the same block.
-_BLOCK_ENTRIES = 1 << 13
+# Complex entries in one block of the sign table (2^14 x 16 B = 256 KiB).
+# The tabulated columns are as many as fit one block: 2^9 at n = 20.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _ryser(mat: np.ndarray) -> complex:
@@ -44,7 +44,10 @@ def _ryser(mat: np.ndarray) -> complex:
     columns 1..lo form an (n, 2^lo) table, built by doubling from d = +1:
     d_j = -1 is d_j = +1 minus twice column j.  Step t of the Gray walk
     over the other columns flips one sign in place, so the outer signs
-    multiply to the parity of t.
+    multiply to the parity of t; its products add into a (2^lo,) sum, one
+    entry per inner pattern, dotted with the inner signs at the end.  The
+    walk's three lowest columns, flipped by 7 of every 8 steps, are added as
+    contiguous (n, 2^lo) copies, not as broadcast (n, 1) columns.
     """
     n = mat.shape[0]
     if n == 0:
@@ -57,17 +60,20 @@ def _ryser(mat: np.ndarray) -> complex:
     for j in range(lo):
         np.subtract(sums[:, :1 << j], twice[1 + j], out=sums[:, 1 << j:2 << j])
         signs[1 << j:2 << j] = -signs[:1 << j]
-    total = 0j
-    for t in range(1 << (n - 1 - lo)):
-        if t:
-            j = (t & -t).bit_length() - 1
-            if (t ^ (t >> 1)) >> j & 1:
-                sums -= twice[lo + 1 + j]
-            else:
-                sums += twice[lo + 1 + j]
-        term = sums.prod(axis=0) @ signs
-        total += -term if t & 1 else term
-    return complex(total) / (1 << (n - 1))
+    walk = list(twice[lo + 1:])
+    walk[:3] = [np.broadcast_to(c, sums.shape).copy() for c in walk[:3]]
+    acc = sums.prod(axis=0)
+    for t in range(1, 1 << (n - 1 - lo)):
+        j = (t & -t).bit_length() - 1
+        if (t ^ (t >> 1)) >> j & 1:
+            sums -= walk[j]
+        else:
+            sums += walk[j]
+        if t & 1:
+            acc -= sums.prod(axis=0)
+        else:
+            acc += sums.prod(axis=0)
+    return complex(acc @ signs) / (1 << (n - 1))
 
 
 # Cached permutation index tables for the naive kernel, keyed by n.

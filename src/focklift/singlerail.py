@@ -235,7 +235,8 @@ def _polar_blocks(gates: np.ndarray) -> np.ndarray:
     Frobenius norm / sqrt 2, unitary also at rank 1; 0 has phase 1, and W = 0 goes to 1."""
     n = len(gates)
     y = gates.reshape(n, 16).T.take(_POLAR_AT, axis=0)
-    y[2] = y[3] * y[7] - y[4] * y[8]  # det W
+    with np.errstate(over="ignore", invalid="ignore"):  # past ~1e154, inf - inf until rescaled
+        y[2] = y[3] * y[7] - y[4] * y[8]  # det W
     size = np.abs(y[:3])
     if np.count_nonzero((size > 1e-290) & (size < 1e290)) < size.size:
         # scale W, then a, b and det W, into [0.5, 1) by powers of 2, which is exact and moves
@@ -286,9 +287,10 @@ def entangling_measure(gate: np.ndarray):
     gate = _as_square(gate, "gate", stack=True, dim=4)
     flat = gate.reshape(-1, 16)
     x = flat.T.take(_SCHMIDT_AT, axis=0)
-    sq, q = np.abs(x) ** 2, x[:4] * x[4:].conj()
-    p, r = sq[:2] + sq[2:4], sq[4:6] + sq[6:]  # rows |a|^2 + |x|^2 and |y|^2 + |b|^2
-    top = (p + r) + np.hypot(p - r, 2.0 * np.abs(q[:2] + q[2:]))  # 2 sigma_1^2
+    with np.errstate(over="ignore", invalid="ignore"):  # past ~1e154, p - r is inf - inf
+        sq, q = np.abs(x) ** 2, x[:4] * x[4:].conj()
+        p, r = sq[:2] + sq[2:4], sq[4:6] + sq[6:]  # rows |a|^2 + |x|^2 and |y|^2 + |b|^2
+        top = (p + r) + np.hypot(p - r, 2.0 * np.abs(q[:2] + q[2:]))  # 2 sigma_1^2
     s2 = 0.5 * np.maximum(top[0], top[1])  # the larger s^2 gives the smaller 1 - s^2 / 4
     mixed = flat.take(_OFF_BLOCK, axis=1)
     if np.count_nonzero(mixed):

@@ -98,6 +98,20 @@ def test_ryser_handles_moderate_sizes():
     assert acc == pytest.approx(permanent(m), rel=1e-9)
 
 
+def test_ryser_at_n_20():
+    # a rank-one u v^T has per = n! prod(u) prod(v); v's phases spread evenly
+    # round the circle, so no subset sum of v is large and the sum cancels little
+    n = 20
+    rng = np.random.default_rng(16)
+    u = rng.uniform(0.9, 1.1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    v = rng.uniform(0.9, 1.1, n) * np.exp(2j * np.pi * rng.permutation(n) / n)
+    want = math.factorial(n) * np.prod(u) * np.prod(v)
+    assert abs(permanent(np.outer(u, v)) - want) <= 1e-10 * abs(want)
+    # |per(A)| <= ||A||_2^n, and a Haar block's permanent is not 0
+    a = haar_random_unitary(2 * n, 16)[:n, :n]
+    assert 0 < abs(permanent(a)) <= np.linalg.norm(a, 2) ** n
+
+
 def _kernel_matches_naive(monkeypatch, block, seed):
     kernel = importlib.import_module("focklift.permanent")
     monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", block)
@@ -111,7 +125,8 @@ def _kernel_matches_naive(monkeypatch, block, seed):
 
 def test_kernel_gray_walk_matches_naive(monkeypatch):
     # a tiny block forces the Gray walk over most columns, so it runs at
-    # sizes the naive oracle reaches
+    # sizes the naive oracle reaches: six at n = 8, so that both the copied
+    # lowest three walk columns and the broadcast ones are added
     _kernel_matches_naive(monkeypatch, 16, seed=12)
 
 
