@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="omit timestamps and wall times for reproducible output")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes; results do not depend on it")
+                           help=f"worker processes, 1..{nogo.MAX_JOBS}; results do not "
+                                "depend on it")
         if source:
             p.add_argument("--haar", type=int, default=None,
                            help="sample a Haar-random unitary of this dimension")

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "hermitian_eig",
     "exp_i_hermitian",
     "haar_random_unitary",
 ]
@@ -94,22 +93,11 @@ def require_unitary(u: np.ndarray, name: str = "matrix", stack: bool = False) ->
     return _within(u, dev, CHECK_TOL, name, "unitary: ||u^dag u - 1||")
 
 
-def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or of each of an (L, M, M) stack.
-
-    Returns (w, q) with real eigenvalues w in ascending order and unitary q
-    such that h = q @ diag(w) @ q^dag.  Raises InvalidInputError when the
-    input (any member) deviates from Hermiticity beyond the check tolerance.
-    """
-    h = require_hermitian(h, stack=True)
-    w, q = np.linalg.eigh(h)
-    return w, q
-
-
 def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
     """Unitary exp(i*h) of a Hermitian matrix via its eigendecomposition,
-    or of each member of an (L, M, M) stack as for it alone."""
-    w, q = hermitian_eig(h)
+    or of each member of an (L, M, M) stack as for it alone.  Raises
+    InvalidInputError when h (any member) is not Hermitian to CHECK_TOL."""
+    w, q = np.linalg.eigh(require_hermitian(h, stack=True))
     return (q * np.exp(1j * w)[..., np.newaxis, :]) @ q.conj().swapaxes(-1, -2)
 
 

@@ -6,8 +6,9 @@ entangling measure of the induced two-qubit action:
 
 * ``nogo_search_two_mode``  - the five-parameter composite gate on two
   modes, penalized by its bunched-state leakage.
-* ``nogo_search_ancilla``   - an arbitrary mode unitary on M > 2 modes
-  (full Hermitian generator, M^2 real parameters), penalized by the
+* ``nogo_search_ancilla``   - a mode unitary on M > 2 modes, searched on
+  the rail rows that every score reads (horizontal Hermitian generator,
+  4M - 4 real parameters), penalized by the
   error-avoidance residuals, the computational/bunched subspace leakage on
   the top photon sector, and the failure of outputs to factor into a
   computational part times a fixed ancilla state.
@@ -176,6 +177,9 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
 # a config with more restarts is rejected before the search allocates them; at
 # the cap the first-round simplices at M = 6 hold ~107 MB
 MAX_RESTARTS = 10_000
+# more jobs are rejected before any process pool exists, which may start all
+# of its workers on the first task; fixed, so a command runs on every machine
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -241,8 +245,9 @@ class SearchResult:
     endpoint's mode unitary projected onto the feasible manifold).  A
     projected winner's ``best_parameters`` x are the generator *before*
     projection: its mode unitary projects exp(i H) onto the block-diagonal
-    unitaries with a diagonal or antidiagonal rail block, H holding x[:M] on
-    the diagonal and x[M::2] + i x[M+1::2] on the upper triangle row by row.
+    unitaries with a diagonal or antidiagonal rail block.  H holds x[:2] on
+    the rail diagonal and x[2::2] + i x[3::2] on the rail rows' entries
+    right of it, row by row, and zeros in its ancilla block: 4M - 4 numbers.
     Constrained ancilla runs are certified by such winners alone: no
     optimizer endpoint has met the 1e-10 tolerance (0 of 25 in each of the
     packaged m3 and m4_ancilla runs), and projected points entangle nothing
@@ -423,10 +428,10 @@ def _run_restarts(task, args: tuple, count: int, jobs: int) -> list:
     """task(args + (lo, hi)) over range(count) cut into min(jobs, count)
     contiguous chunks, in-process for one chunk, else one process each, with
     the results joined in index order.  They do not depend on jobs (an
-    integer >= 1, not a bool): an index draws from its own ``_task_rng``
-    stream and comes out the same in any chunk (a restart follows its own
-    Nelder-Mead path whatever it is stacked with)."""
-    jobs = min(_integer(jobs, "jobs", 1), count)
+    integer in 1..MAX_JOBS, not a bool): an index draws from its own
+    ``_task_rng`` stream and comes out the same in any chunk (a restart
+    follows its own Nelder-Mead path whatever it is stacked with)."""
+    jobs = min(_integer(jobs, "jobs", 1, MAX_JOBS), count)
     chunks = [args + (count * j // jobs, count * (j + 1) // jobs) for j in range(jobs)]
     if jobs == 1:
         return task(chunks[0])
@@ -533,28 +538,30 @@ def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
 def _project_feasible(v: np.ndarray) -> np.ndarray:
     """Project a mode unitary onto the exactly feasible manifold.
 
-    Off-diagonal blocks are zeroed, both diagonal blocks re-unitarized, and
-    the rail block pushed to the nearer of diagonal or antidiagonal form
-    (the zero-bunching two-mode unitaries).
+    Off-diagonal blocks are zeroed and the rail block re-unitarized, then
+    pushed to the nearer of diagonal or antidiagonal form (the zero-bunching
+    two-mode unitaries).  The ancilla block becomes 1: the scores read only
+    the rail rows, so any unitary ancilla block scores the same.
     """
     ua, _, vha = np.linalg.svd(v[:2, :2])
     a = ua @ vha
     w = np.abs(a) ** 2
     # rail block entries kept: (0, 0), (1, 1) if diagonal, (0, 1), (1, 0) if not
     pair = ([0, 1], [0, 1] if w[0, 0] + w[1, 1] >= w[0, 1] + w[1, 0] else [1, 0])
-    ub, _, vhb = np.linalg.svd(v[2:, 2:])
-    out = np.zeros(v.shape, dtype=complex)
+    out = np.eye(len(v), dtype=complex)
+    out[:2, :2] = 0.0
     out[pair] = [z / abs(z) if abs(z) > 1e-12 else 1.0 for z in a[pair]]
-    out[2:, 2:] = ub @ vhb
     return out
 
 
 class _AncillaFamily:
-    """A full Hermitian generator on M modes (M^2 real parameters); the
-    feasible candidate projects the endpoint's mode unitary onto the
-    exactly feasible manifold and keeps the unprojected generator as its
-    parameters (the projection is deterministic, so the point is
-    reproducible).
+    """A horizontal Hermitian generator H = [[A, B], [B^dag, 0]] on M modes,
+    A the 2 x 2 rail block and B the 2 x (M - 2) rail-ancilla block: 4M - 4
+    real parameters, the real dimension of the rail rows V[:2, :] that every
+    score reads.  The feasible candidate projects the endpoint's mode
+    unitary onto the exactly feasible manifold and keeps the unprojected
+    generator as its parameters (the projection is deterministic, so the
+    point is reproducible).
 
     The four computational inputs |n1 n2> ride along with all ancilla
     photons in the first ancilla mode; each output is compared, per rail
@@ -569,10 +576,12 @@ class _AncillaFamily:
         m, k = cfg.modes, cfg.ancilla_photons
         self.lanes = _check_lift_size(m, k + 2)
         self.modes, self.photons = m, k + 2
-        # generator: x[:m] on the diagonal, then (re, im) pairs row by row
+        # generator: x[:2] on the rail diagonal, then (re, im) pairs of the
+        # rail rows' entries right of it, row by row
         upper = np.triu_indices(m, 1)
-        self.gen_rows = np.concatenate([np.arange(m), upper[0]])
-        self.gen_cols = np.concatenate([np.arange(m), upper[1]])
+        rail = upper[0] < 2
+        self.gen_rows = np.concatenate([[0, 1], upper[0][rail]])
+        self.gen_cols = np.concatenate([[0, 1], upper[1][rail]])
         # flat computational <-> bunched entries of the top sector, which
         # holds the doubly occupied input
         self.coupling = np.flatnonzero(_coupling_mask(m, k + 2))
@@ -600,20 +609,19 @@ class _AncillaFamily:
         self.gate_rows, self.gate_at = np.array(self.gate_rows), np.array(self.gate_at)
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-math.pi, math.pi, size=self.modes ** 2)
+        return rng.uniform(-math.pi, math.pi, size=4 * self.modes - 4)
 
     def unitaries(self, xs: np.ndarray) -> np.ndarray:
-        """(L, M, M) mode unitaries exp(i H) of an (L, M^2) stack of generators."""
-        m = self.modes
-        entries = np.concatenate([xs[:, :m], xs[:, m::2] + 1j * xs[:, m + 1::2]], axis=1)
-        h = np.empty((len(xs), m, m), dtype=complex)
+        """(L, M, M) mode unitaries exp(i H) of an (L, 4M - 4) stack of generators."""
+        entries = np.concatenate([xs[:, :2], xs[:, 2::2] + 1j * xs[:, 3::2]], axis=1)
+        h = np.zeros((len(xs), self.modes, self.modes), dtype=complex)
         h[:, self.gen_cols, self.gen_rows] = entries.conj()
         h[:, self.gen_rows, self.gen_cols] = entries
         # read at call time from this module, where perfbench traces it
         return exp_i_hermitian(h)
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
-        """(measure, constraint) rows of an (L, M^2) stack of generators,
+        """(measure, constraint) rows of an (L, 4M - 4) stack of generators,
         each row bit for bit as for its point alone."""
         return self.rows(self.unitaries(xs))
 

@@ -21,6 +21,7 @@ import focklift.cli
 from focklift.cli import (EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS,
                           MAX_SAMPLES, _build_parser, main)
 from focklift.linalg import haar_random_unitary
+from focklift.nogo import MAX_JOBS
 
 
 def run(*argv):
@@ -99,7 +100,7 @@ def test_sweep_rejects_bad_grid(tmp_path, grid, samples):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", str(MAX_JOBS + 1)])
 def test_sweep_rejects_a_bad_jobs_value(tmp_path, jobs):
     out = tmp_path / "x.csv"
     code, err = run_err("sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",

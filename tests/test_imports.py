@@ -31,7 +31,7 @@ PUBLIC = [
     "computational_block", "decoupled_form_even", "decoupled_form_odd",
     "dont_cause_errors_residuals", "element_matrix", "elements_from_jsonable",
     "elements_to_jsonable", "entangling_measure", "exp_i_hermitian", "extract_computational",
-    "haar_random_unitary", "hermitian_eig", "leakage", "lift_unitary", "lift_via_substitution",
+    "haar_random_unitary", "leakage", "lift_unitary", "lift_via_substitution",
     "lifted_to_csv", "lifted_to_jsonable", "nearest_unitary_block", "nogo_search_ancilla",
     "nogo_search_two_mode", "permanent", "poly_to_vector", "reck_decompose", "recompose",
 ]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from focklift.errors import InvalidInputError, LeakyGateError, ResourceLimitError
 from focklift.fock import basis_monomial, lift_unitary, lift_via_substitution
-from focklift.linalg import exp_i_hermitian, hermitian_eig
+from focklift.linalg import exp_i_hermitian
 from focklift.modes import reck_decompose
 from focklift.nogo import block_diagonality_defect, block_lemma_check, dont_cause_errors_residuals
 from focklift.permanent import permanent
@@ -30,7 +30,6 @@ ENTRY_POINTS = {
     "lift_unitary-unchecked": lambda m: lift_unitary(m, 2, check=False),
     "lift_via_substitution": lambda m: lift_via_substitution(m, basis_monomial((1, 1))),
     "exp_i_hermitian": exp_i_hermitian,
-    "hermitian_eig": hermitian_eig,
     "assemble_from_mode_matrix": assemble_from_mode_matrix,
     "leakage": leakage,
     "computational_block": computational_block,

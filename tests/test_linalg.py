@@ -6,7 +6,6 @@ from focklift.linalg import (
     CHECK_TOL,
     exp_i_hermitian,
     haar_random_unitary,
-    hermitian_eig,
     require_hermitian,
     require_unitary,
 )
@@ -52,17 +51,6 @@ def test_checks_reject_non_finite_matrices():
             require_hermitian(m)
     with pytest.raises(InvalidInputError):
         exp_i_hermitian(nan)
-
-
-def test_hermitian_eig_ascending_and_reconstructs():
-    rng = np.random.default_rng(2)
-    h = random_hermitian(rng, 6)
-    w, q = hermitian_eig(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.max(np.abs(q @ np.diag(w) @ q.conj().T - h)) < 1e-12
-    assert np.max(np.abs(q.conj().T @ q - np.eye(6))) < 1e-12
-    with pytest.raises(InvalidInputError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_exp_i_hermitian_unitary_and_diagonal_case():

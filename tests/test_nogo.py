@@ -11,7 +11,7 @@ import pytest
 import focklift.nogo
 from focklift.errors import InvalidInputError, ResourceLimitError
 from focklift.fock import lift_unitary, LiftedUnitary
-from focklift.linalg import haar_random_unitary
+from focklift.linalg import exp_i_hermitian, haar_random_unitary
 from focklift.modes import beam_splitter, composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
     _AncillaFamily,
@@ -27,6 +27,7 @@ from focklift.nogo import (
     block_lemma_check,
     bunched_partition,
     dont_cause_errors_residuals,
+    MAX_JOBS,
     MAX_RESTARTS,
     nogo_search_ancilla,
     nogo_search_two_mode,
@@ -306,7 +307,7 @@ def test_two_mode_rejects_other_mode_counts():
 
 @pytest.mark.parametrize("search, modes", [(nogo_search_two_mode, 2), (nogo_search_ancilla, 3)],
                          ids=["two_mode", "ancilla"])
-@pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0, True, False, "2", None])
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0, True, False, "2", None, MAX_JOBS + 1])
 def test_search_rejects_a_bad_jobs_value_before_any_restart(monkeypatch, search, modes, jobs):
     def refuse(args):
         raise AssertionError("a restart ran")
@@ -443,6 +444,18 @@ def test_ancilla_rows_have_a_gauge_on_the_output_ancillas(modes, ancilla_photons
         assert np.all(np.max(np.abs(family.rows(v @ gauge) - rows), axis=1) > 1e-3)
 
 
+def full_generator_unitary(x):
+    """exp(i H) of a full Hermitian generator on M modes, the layout the
+    golden cases were recorded in: x[:M] on the diagonal, then (re, im)
+    pairs of the upper triangle row by row, M^2 numbers."""
+    m = math.isqrt(len(x))
+    upper = np.triu_indices(m, 1)
+    h = np.diag(x[:m]).astype(complex)
+    h[upper] = x[m::2] + 1j * x[m + 1::2]
+    h[upper[::-1]] = h[upper].conj()
+    return exp_i_hermitian(h)
+
+
 def test_ancilla_objective_matches_golden_values():
     # (measure, constraint, gate) recorded from the per-rail loop evaluation
     # that the index-table family replaced, on a Haar unitary, a generator
@@ -454,10 +467,10 @@ def test_ancilla_objective_matches_golden_values():
     for case in golden:
         m, seed = case["modes"], case["seed"]
         family = ancilla_family(m, case["ancilla_photons"])
-        x = np.random.default_rng(seed).uniform(-math.pi, math.pi, (1, m * m))
+        x = np.random.default_rng(seed).uniform(-math.pi, math.pi, m * m)
         haar = haar_random_unitary(m, seed)
-        v = {"haar": haar, "generator": family.unitaries(0.05 * x)[0],
-             "near": _project_feasible(haar) @ family.unitaries(1e-4 * x)[0]}[case["unitary"]]
+        v = {"haar": haar, "generator": full_generator_unitary(0.05 * x),
+             "near": _project_feasible(haar) @ full_generator_unitary(1e-4 * x)}[case["unitary"]]
         scores, gates = family.rate(v[np.newaxis])
         (meas, constraint), gate = scores[0], gates[0]
         assert abs(meas - case["measure"]) <= 1e-12
@@ -472,6 +485,22 @@ def test_ancilla_objective_matches_golden_values():
         stacked_scores, stacked_gates = family.rate(np.array(vs))
         assert np.array_equal(stacked_scores, np.array(scores))
         assert np.array_equal(stacked_gates, np.array(gates))
+
+
+@pytest.mark.parametrize("modes, ancilla_photons", [(3, 0), (4, 1), (5, 2)])
+def test_no_ancilla_parameter_is_a_gauge_direction(modes, ancilla_photons):
+    # the scores read only the rail rows V[:2, :], a point of a manifold of
+    # real dimension 4M - 4; a parameter that left them in place would be a
+    # flat direction of every objective, so their real Jacobian must have
+    # full column rank
+    family = ancilla_family(modes, ancilla_photons)
+    x = family.start(np.random.default_rng(77 + modes))
+    step = 1e-6 * np.eye(len(x))
+    diff = (family.unitaries(x + step) - family.unitaries(x - step))[:, :2, :] / 2e-6
+    jacobian = np.concatenate([diff.real, diff.imag], axis=1).reshape(len(x), -1).T
+    singular = np.linalg.svd(jacobian, compute_uv=False)
+    assert len(singular) == 4 * modes - 4
+    assert singular[-1] > 1e-3
 
 
 def test_ancilla_objective_makes_one_lift_and_one_exponential(monkeypatch):
@@ -490,7 +519,7 @@ def test_ancilla_objective_makes_one_lift_and_one_exponential(monkeypatch):
     family = ancilla_family(4, 1)
     for name in calls:
         monkeypatch.setattr(focklift.nogo, name, counting(name))
-    xs = np.random.default_rng(66).uniform(-math.pi, math.pi, (5, 16))
+    xs = np.random.default_rng(66).uniform(-math.pi, math.pi, (5, 12))
     assert family.scores(xs).shape == (5, 2)
     assert calls == {"lift_unitary": 1, "exp_i_hermitian": 1}
     family.feasible(xs)
@@ -803,19 +832,16 @@ def ancilla_rows(modes, seed, count):
     """count random generators, then edge rows: the zero generator, a
     rail-ancilla swap that empties the ancilla part of the |0 0> output
     (with ancilla photons, chi falls back to the first ancilla state), and
-    points 1e-4 from a projected unitary: generators without rail-rail or
-    rail-ancilla couplings, which give feasible unitaries, nudged."""
+    points 1e-4 from a projected unitary: generators with only the rail
+    diagonal set, which give feasible unitaries, nudged."""
     rng = np.random.default_rng(seed)
-    upper = list(zip(*np.triu_indices(modes, 1)))
-    swap = np.zeros(modes * modes)
-    swap[modes + 2 * upper.index((0, 2))] = math.pi / 2
-    feasible = rng.uniform(-math.pi, math.pi, (4, modes * modes))
-    for p, (a, b) in enumerate(upper):
-        if a < 2:
-            feasible[:, modes + 2 * p:modes + 2 * p + 2] = 0.0
+    size = 4 * modes - 4
+    swap = np.zeros(size)
+    swap[4] = math.pi / 2  # Re H[0, 2]: after the rail diagonal and H[0, 1]
+    feasible = np.zeros((4, size))
+    feasible[:, :2] = rng.uniform(-math.pi, math.pi, (4, 2))
     near = feasible + 1e-4 * rng.uniform(-1.0, 1.0, feasible.shape)
-    return np.vstack([rng.uniform(-math.pi, math.pi, (count, modes * modes)),
-                      np.zeros(modes * modes), swap, near])
+    return np.vstack([rng.uniform(-math.pi, math.pi, (count, size)), np.zeros(size), swap, near])
 
 
 @pytest.mark.parametrize("modes, ancilla_photons", [(3, 0), (4, 1), (4, 2), (5, 2)])
