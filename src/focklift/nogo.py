@@ -303,17 +303,16 @@ _NEXT = np.array([[_ACCEPT] * 16,  # to the expansion, or back to the reflection
                  + [[_INSIDE] * 2 + [_OUTSIDE] * 2 + [_ACCEPT] * 4 + [_EXPAND] * 8] * 3)
 
 
-def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
+def _nelder_mead(objective, x0: np.ndarray, maxiter: int):
     """Adaptive Nelder-Mead (Gao & Han 2012) minimizing objective from each
     row of an (R, n) stack of start points; objective(xs, owner) values the
     points xs of runs owner.
-    Returns the (R, n) ends and per run nfev, nit and status (0 converged, 1
-    evaluation cap, 2 iteration cap), bit for bit those of the adaptive
-    ``optimize._minimize_neldermead`` 1.17 (rho = 1 folded in), caps reached
-    part-way through a step included.  The runs are held as arrays; each
-    round scores every live run's pending points in one objective call and
-    advances all runs with the same array operations, and a run that stops
-    leaves the arrays."""
+    Returns the (R, n) ends and per run nfev, nit and status (0 converged, 2
+    iteration cap), bit for bit those of the adaptive
+    ``optimize._minimize_neldermead`` 1.17 (rho = 1 folded in) given maxiter
+    alone.  The runs are held as arrays; each round scores every live run's
+    pending points in one objective call and advances all runs with the same
+    array operations, and a run that stops leaves the arrays."""
     runs, n = x0.shape
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     # a trial point is a * xbar + b * worst vertex, (a, b) = coef[:, kind]
@@ -323,12 +322,8 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
     axis, vertices = np.arange(n), np.arange(n + 1)
     sim = np.repeat(x0[:, None], n + 1, axis=1)
     sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    # the initial simplex is cut at the cap, and unscored vertices keep inf
-    first = min(n + 1, maxfev)
-    fsim = np.full((runs, n + 1), np.inf)
-    fsim[:, :first] = objective(sim[:, :first].reshape(-1, n),
-                                np.repeat(np.arange(runs), first)).reshape(runs, first)
-    ids, nfev, nit = np.arange(runs), np.full(runs, first), np.ones(runs, dtype=int)
+    fsim = objective(sim.reshape(-1, n), np.repeat(np.arange(runs), n + 1)).reshape(runs, n + 1)
+    ids, nfev, nit = np.arange(runs), np.full(runs, n + 1), np.ones(runs, dtype=int)
     # argsort is not stable: sorted here and again in the first round, as in the source
     base = ids[:, None] * (n + 1)  # each run's first vertex in the flattened sim, fsim
     order = fsim.argsort(axis=1) + base
@@ -342,7 +337,7 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
             order = np.where(ended[:, None], fsim.argsort(axis=1), vertices) + base
             sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
             # a capped run has ended an iteration; sorted values spread over last - first
-            capped = (nfev >= maxfev) | (nit >= maxiter)
+            capped = nit >= maxiter
             stop = capped | (fsim[:, -1] - fsim[:, 0] <= _FATOL)
             if np.count_nonzero(stop):
                 stop &= capped | ended & (abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
@@ -359,15 +354,16 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
         ab = coef.take(kind, axis=1)
         point = ab[0] * xbar + ab[1] * sim[:, -1]
         if _SHRINK in kinds:
-            # the shrunk vertices the budget reaches, in the source's order
-            single = kind != _SHRINK
-            shrunk = ~single[:, None] & (axis < maxfev - nfev[:, None])
+            # a shrinking run scores its n moved vertices, in the source's order
+            shrunk = kind == _SHRINK
+            single = ~shrunk
+            values = objective(np.concatenate([point[single], sim[shrunk, 1:].reshape(-1, n)]),
+                               np.concatenate([ids[single], ids[shrunk].repeat(n)]))
             f = np.zeros(ids.size)
-            f[single], fsim[:, 1:][shrunk] = np.split(objective(
-                np.concatenate([point[single], sim[:, 1:][shrunk]]),
-                np.concatenate([ids[single], ids[np.nonzero(shrunk)[0]]])), [single.sum()])
-            nfev += single + shrunk.sum(axis=1)
-            nit += shrunk.sum(axis=1) == n
+            f[single], tail = np.split(values, [single.sum()])
+            fsim[shrunk, 1:] = tail.reshape(-1, n)
+            nfev += single + n * shrunk
+            nit += shrunk
         else:
             f = objective(point, ids)
             nfev += 1
@@ -379,17 +375,15 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, maxfev: int):
             np.copyto(point, 2 * xbar - sim[:, -1], where=keep_xr[:, None])
             np.copyto(f, fxr, where=keep_xr)
         if _SHRINK in step.tolist():
-            # move the vertices the budget reaches and the next, which keeps a stale value
-            moved = (step == _SHRINK)[:, None] & (axis <= maxfev - nfev[:, None])
-            sim[:, 1:][moved] = (sim[:, :1] + sigma * (sim[:, 1:] - sim[:, :1]))[moved]
+            moved = step == _SHRINK
+            sim[moved, 1:] = sim[moved, :1] + sigma * (sim[moved, 1:] - sim[moved, :1])
         accept = step == _ACCEPT
         np.copyto(sim[:, -1], point, where=accept[:, None])
         np.copyto(fsim[:, -1], f, where=accept)
         nit += accept
-        # a step the budget cannot pay for ends the iteration unfinished
-        ended = (step >= _ACCEPT) | (nfev >= maxfev)
+        ended = step >= _ACCEPT
         kind = step
-    return x, nfev_at, nit_at, np.where(nfev_at >= maxfev, 1, np.where(nit_at >= maxiter, 2, 0))
+    return x, nfev_at, nit_at, np.where(nit_at >= maxiter, 2, 0)
 
 
 def _run_chunk(args: tuple) -> list[tuple[dict, list[_Candidate]]]:
@@ -405,7 +399,7 @@ def _run_chunk(args: tuple) -> list[tuple[dict, list[_Candidate]]]:
         return mu.take(owner) * scores[:, 1] - scores[:, 0]
 
     starts = np.array([family.start(_task_rng(cfg.seed, r)) for r in range(lo, hi)])
-    ends, *counts = _nelder_mead(objective, starts, cfg.max_iterations, 4 * cfg.max_iterations)
+    ends, *counts = _nelder_mead(objective, starts, cfg.max_iterations)
     params, feasible = family.feasible(ends)
     out = []
     for r, x, end, p, feas, nfev, nit, status in zip(
@@ -526,8 +520,9 @@ def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
 
     jobs > 1 spreads restarts over processes with identical results.
     """
-    if cfg.modes != 2:
-        raise InvalidInputError(f"two-mode search requires modes=2, got {cfg.modes}")
+    if (cfg.modes, cfg.ancilla_photons) != (2, 0):
+        raise InvalidInputError("two-mode search requires modes=2 and ancilla_photons=0, "
+                                f"got {cfg.modes} and {cfg.ancilla_photons}")
     return _search(_TwoModeFamily(), cfg, jobs)
 
 

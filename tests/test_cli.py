@@ -238,6 +238,7 @@ def test_nogo_rejects_bad_config(tmp_path):
     ("restarts", "3"),
     ("seed", "x"),
     ("certification_threshold", -1),
+    ("ancilla_photons", 1),
     pytest.param("penalty_weight", 10 ** 400, id="penalty_weight-400-digits"),
 ])
 def test_nogo_rejects_malformed_field_values(tmp_path, field, value):
