@@ -44,11 +44,9 @@ EXIT_CERTIFICATION = 3
 EXIT_IO = 4
 
 # a start:stop:count grid is rejected above this many points, before numpy
-# allocates it
+# allocates it; the sweep scores the grid in one call, which at the cap
+# raises peak memory by ~155 MB
 MAX_GRID_POINTS = 100_000
-# --samples is rejected above this many phase tuples per grid point, which
-# score as ~58 MB of 6x6 gates
-MAX_SAMPLES = 100_000
 # netlist --haar is rejected above this dimension, before the draw; a netlist
 # at the cap takes 2.5 s (and 3.5 MB of JSON) on 2 vCPUs, and the time grows
 # about as M^3
@@ -180,31 +178,17 @@ def _source_unitary(ns) -> tuple[np.ndarray, dict, int | None]:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_chunk(args: tuple) -> list[tuple[float, float, float]]:
-    """(eps, leakage at zero phases, best measure over random phases) of grid
-    points lo..hi-1, each point's rows scored in one stacked call."""
-    grid, samples, seed, lo, hi = args
-    rows = []
-    for index in range(lo, hi):
-        angles = np.full((samples + 1, 5), grid[index])
-        angles[0, :4] = 0.0
-        angles[1:, :4] = nogo._task_rng(seed, index).uniform(-math.pi, math.pi, size=(samples, 4))
-        measure, leak = nogo._TwoModeFamily().scores(angles).T
-        rows.append((grid[index], float(leak[0]), float(measure[1:].max())))
-    return rows
-
-
 def cmd_sweep(ns) -> int:
     grid = _parse_grid(ns.grid)
-    _integer(ns.samples, "--samples", 1, MAX_SAMPLES)
     if ns.out is None:
         raise InvalidInputError("sweep requires --out for the CSV table")
-    seed = _resolve_seed(ns)
-    rows = nogo._run_restarts(_sweep_chunk, (grid, ns.samples, seed), len(grid), ns.jobs)
+    # the four phases move neither score, so the grid is scored at zero phases
+    measure, leak = nogo._TwoModeFamily().scores(np.array(grid)[:, None]).T.tolist()
+    rows = list(zip(grid, leak, measure))
 
     zero_rows = [r for r in rows if r[1] < 1e-12]
     max_measure_zero = max((r[2] for r in zero_rows), default=0.0)
-    report = _report(ns, {"grid": ns.grid, "points": len(grid), "samples": ns.samples}, seed, {
+    report = _report(ns, {"grid": ns.grid, "points": len(grid)}, None, {
         "rows": len(rows),
         "zero_leakage_rows": len(zero_rows),
         "max_measure_on_zero_leakage": max_measure_zero,
@@ -335,20 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"focklift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, text, jobs=False, source=False):
-        """A subcommand with --seed, --out, --no-timestamps and the other
-        flags its code reads."""
+    def command(name, func, text, seed=True, source=False):
+        """A subcommand with --out, --no-timestamps and the other flags its
+        code reads."""
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (>= 0); generated and recorded if omitted")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (>= 0); generated and recorded if omitted")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--no-timestamps", action="store_true",
                        help="omit timestamps and wall times for reproducible output")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help=f"worker processes, 1..{nogo.MAX_JOBS}; results do not "
-                                "depend on it")
         if source:
             p.add_argument("--haar", type=int, default=None,
                            help="sample a Haar-random unitary of this dimension")
@@ -356,15 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("sweep", cmd_sweep,
-                "tabulate leakage vs entangling power over a mixing-angle grid", jobs=True)
+                "tabulate leakage vs entangling power over a mixing-angle grid", seed=False)
     p.add_argument("--grid", required=True,
                    help="epsilon grid: comma list '0,0.785' or range 'start:stop:count'")
-    p.add_argument("--samples", type=int, default=20,
-                   help="random phase tuples per grid point")
 
-    p = command("nogo", cmd_nogo, "run a no-go search from a JSON config", jobs=True)
+    p = command("nogo", cmd_nogo, "run a no-go search from a JSON config")
     p.add_argument("--config", required=True,
                    help="config file path or packaged name (two_mode, m3, m4_ancilla)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help=f"worker processes, 1..{nogo.MAX_JOBS}; results do not depend on it")
 
     p = command("lift", cmd_lift, "dump the N-photon matrix of a mode unitary", source=True)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")

@@ -19,7 +19,6 @@ __all__ = [
     "beam_splitter",
     "composite_gate_mode_matrix",
     "OpticalElement",
-    "element_matrix",
     "reck_decompose",
     "recompose",
     "elements_to_jsonable",
@@ -142,11 +141,6 @@ def _block(element: OpticalElement, s: float, c: float) -> np.ndarray:
         return np.array([[np.exp(1j * element.angles[0])]])
     eph = np.exp(1j * element.angles[1])
     return np.array([[eph * c, 1j * s], [1j * eph * s, c]])
-
-
-def element_matrix(element: OpticalElement, dim: int) -> np.ndarray:
-    """Dense dim x dim matrix of one element."""
-    return recompose([element], dim)
 
 
 def reck_decompose(v: np.ndarray) -> list[OpticalElement]:

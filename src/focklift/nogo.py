@@ -4,8 +4,9 @@ bunched states and entangle single-rail qubits.
 One restart loop, two search families, both maximizing the operator-Schmidt
 entangling measure of the induced two-qubit action:
 
-* ``nogo_search_two_mode``  - the five-parameter composite gate on two
-  modes, penalized by its bunched-state leakage.
+* ``nogo_search_two_mode``  - the composite gate on two modes, searched on
+  its mixing angle alone (its four phases are single-qubit gates, which
+  move no score), penalized by its bunched-state leakage.
 * ``nogo_search_ancilla``   - a mode unitary on M > 2 modes, searched on
   the rail rows that every score reads (horizontal Hermitian generator,
   4M - 4 real parameters), penalized by the
@@ -242,7 +243,9 @@ class SearchResult:
     ``best_candidate`` names the winner's kind: ``"endpoint"`` (an optimizer
     endpoint), ``"snapped"`` (two-mode: the endpoint with its mixing angle
     snapped to a multiple of pi/2) or ``"projected"`` (ancilla: the
-    endpoint's mode unitary projected onto the feasible manifold).  A
+    endpoint's mode unitary projected onto the feasible manifold).  Two-mode
+    ``best_parameters`` is [epsilon], the gate at zero phases: the four
+    phases are single-qubit gates, so they change neither score.  A
     projected winner's ``best_parameters`` x are the generator *before*
     projection: its mode unitary projects exp(i H) onto the block-diagonal
     unitaries with a diagonal or antidiagonal rail block.  H holds x[:2] on
@@ -419,12 +422,12 @@ def _task_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_restarts(task, args: tuple, count: int, jobs: int) -> list:
-    """task(args + (lo, hi)) over range(count) cut into min(jobs, count)
-    contiguous chunks, in-process for one chunk, else one process each, with
-    the results joined in index order.  They do not depend on jobs (an
-    integer in 1..MAX_JOBS, not a bool): an index draws from its own
-    ``_task_rng`` stream and comes out the same in any chunk (a restart
-    follows its own Nelder-Mead path whatever it is stacked with)."""
+    """task(args + (lo, hi)) over a search's count restarts cut into
+    min(jobs, count) contiguous chunks, in-process for one chunk, else one
+    process each, with the results joined in index order.  They do not
+    depend on jobs (an integer in 1..MAX_JOBS, not a bool): a restart draws
+    from its own ``_task_rng`` stream and follows its own Nelder-Mead path
+    whatever it is stacked with, so it comes out the same in any chunk."""
     jobs = min(_integer(jobs, "jobs", 1, MAX_JOBS), count)
     chunks = [args + (count * j // jobs, count * (j + 1) // jobs) for j in range(jobs)]
     if jobs == 1:
@@ -476,38 +479,51 @@ def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
 # two-mode search
 # ---------------------------------------------------------------------------
 
+def _composite_scores(angles: np.ndarray) -> np.ndarray:
+    """(measure, leakage) rows of an (L, 5) stack of composite-gate angles
+    (alpha, beta, gamma, delta, epsilon), each row as the single-gate
+    functions give it for its gate alone."""
+    gates = _composite_gates(_reduce_angles(angles))
+    scores = np.empty((len(angles), 2))
+    # read at call time from this module; a replacement may return a scalar
+    scores[:, 0] = entangling_measure(nearest_unitary_block(gates))
+    scores[:, 1] = _couplings(gates)[1]
+    return scores
+
+
 class _TwoModeFamily:
-    """The five composite-gate angles; the feasible candidate snaps the
-    mixing angle to the nearest multiple of pi/2 (exactly decoupled)."""
+    """The mixing angle epsilon alone.  The four phases are single-qubit
+    gates on either side of the mixer, so they move neither the measure nor
+    the magnitude of any bunched coupling: an exact gauge, scored at zero.
+    The feasible candidate snaps epsilon to the nearest multiple of pi/2
+    (exactly decoupled)."""
 
     kind = "snapped"
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
-        x = rng.uniform(-math.pi, math.pi, size=5)
+        eps = rng.uniform(-math.pi, math.pi)
         # saddle avoidance: keep the mixing angle away from multiples of pi/4
-        while abs(math.remainder(x[4], math.pi / 4.0)) < 0.15:
-            x[4] = rng.uniform(-math.pi, math.pi)
-        return x
+        while abs(math.remainder(eps, math.pi / 4.0)) < 0.15:
+            eps = rng.uniform(-math.pi, math.pi)
+        return np.array([eps])
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
-        """(measure, leakage) rows of an (L, 5) stack of angles, each row
-        as the single-gate functions give it for its gate alone."""
-        gates = _composite_gates(_reduce_angles(xs))
-        scores = np.empty((len(xs), 2))
-        # read at call time from this module; a replacement may return a scalar
-        scores[:, 0] = entangling_measure(nearest_unitary_block(gates))
-        scores[:, 1] = _couplings(gates)[1]
-        return scores
+        """(measure, leakage) rows of an (L, 1) stack of mixing angles."""
+        angles = np.zeros((len(xs), 5))
+        angles[:, 4] = xs[:, 0]
+        return _composite_scores(angles)
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        snapped = np.array(xs, dtype=float)
-        snapped[:, 4] = [round(e / (math.pi / 2.0)) * (math.pi / 2.0) for e in snapped[:, 4]]
+        snapped = np.array([[round(e / (math.pi / 2.0)) * (math.pi / 2.0)] for e in xs[:, 0]])
         return snapped, self.scores(snapped)
 
 
 def nogo_search_two_mode(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     """Search the composite-gate family for entangling power.
 
+    The search runs over the mixing angle epsilon alone, at zero phases: the
+    four phases are single-qubit gates, which change neither the measure
+    nor any bunched coupling's magnitude, so best_parameters is [epsilon].
     Constrained (penalty_weight > 0): maximize measure - mu * leakage with
     the mu ladder spread across restarts, then report the best measure among
     candidates whose leakage meets cfg.leakage_tolerance; each restart

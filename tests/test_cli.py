@@ -19,9 +19,8 @@ import pytest
 
 import focklift.cli
 from focklift.cli import (EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS,
-                          MAX_SAMPLES, _build_parser, main)
+                          _build_parser, main)
 from focklift.linalg import haar_random_unitary
-from focklift.nogo import MAX_JOBS
 
 
 def run(*argv):
@@ -54,13 +53,11 @@ def write_config(path, **overrides):
 
 def test_sweep_writes_csv_and_summary(tmp_path):
     out = tmp_path / "sweep.csv"
-    code, _ = run("sweep", "--grid", "0:1.5707963:9", "--samples", "2",
-                  "--seed", "3", "--out", str(out))
+    code, _ = run("sweep", "--grid", "0:1.5707963:9", "--out", str(out))
     assert code == EXIT_OK
-    # the same seed with two worker processes writes the same bytes
+    # the sweep draws no random numbers: a second run writes the same bytes
     out2 = tmp_path / "sweep2.csv"
-    code, _ = run("sweep", "--grid", "0:1.5707963:9", "--samples", "2",
-                  "--seed", "3", "--out", str(out2), "--jobs", "2")
+    code, _ = run("sweep", "--grid", "0:1.5707963:9", "--out", str(out2))
     assert code == EXIT_OK
     assert out2.read_bytes() == out.read_bytes()
     lines = out.read_text().strip().splitlines()
@@ -79,62 +76,35 @@ def test_sweep_requires_out(tmp_path):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("grid, samples", [
-    pytest.param("", "1", id="empty"),
-    pytest.param("0,nan", "1", id="nan"),
-    pytest.param("inf", "1", id="inf"),
-    pytest.param("0:inf:3", "1", id="inf-range"),
+@pytest.mark.parametrize("grid", [
+    pytest.param("", id="empty"),
+    pytest.param("0,nan", id="nan"),
+    pytest.param("inf", id="inf"),
+    pytest.param("0:inf:3", id="inf-range"),
     # an unbounded count once asked numpy for a 7.45 GiB linspace
-    pytest.param(f"0:1:{MAX_GRID_POINTS + 1}", "1", id="oversize-range"),
-    # a billion samples once asked numpy for 37.3 GiB
-    pytest.param("0", str(MAX_SAMPLES + 1), id="oversize-samples"),
-    pytest.param("0", "0", id="no-samples"),
+    pytest.param(f"0:1:{MAX_GRID_POINTS + 1}", id="oversize-range"),
 ])
-def test_sweep_rejects_bad_grid(tmp_path, grid, samples):
+def test_sweep_rejects_bad_grid(tmp_path, grid):
     # a NaN point once died in round(NaN) inside modes.py with exit 1
     out = tmp_path / "x.csv"
-    code, err = run_err("sweep", "--grid", grid, "--samples", samples, "--seed", "1",
-                        "--out", str(out))
+    code, err = run_err("sweep", "--grid", grid, "--out", str(out))
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1", str(MAX_JOBS + 1)])
-def test_sweep_rejects_a_bad_jobs_value(tmp_path, jobs):
-    out = tmp_path / "x.csv"
-    code, err = run_err("sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
-                        "--jobs", jobs, "--out", str(out))
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ") and "jobs" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("jobs", [2, 3, 20])
-def test_sweep_submits_at_most_jobs_tasks(tmp_path, inline_pools, jobs):
-    # one task per grid point once paid a process-pool round trip for each
-    argv = ["sweep", "--grid", "0:1.5:9", "--samples", "2", "--seed", "5", "--no-timestamps"]
-    assert run(*argv, "--out", str(tmp_path / "serial.csv"))[0] == EXIT_OK
-    assert inline_pools == []
-    assert run(*argv, "--out", str(tmp_path / "split.csv"), "--jobs", str(jobs))[0] == EXIT_OK
-    assert [len(pool.tasks) for pool in inline_pools] == [min(jobs, 9)]
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_failed_sweep_leaves_neither_file(tmp_path):
     # the summary write fails after the CSV is in place; the CSV once stayed
     (tmp_path / "sw.summary.json").mkdir()
     out = tmp_path / "sw.csv"
-    code, _ = run("sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
-                  "--out", str(out))
+    code, _ = run("sweep", "--grid", "0,0.5", "--out", str(out))
     assert code == EXIT_IO
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.summary.json"]
 
 
 def test_sweep_comma_grid(tmp_path):
     out = tmp_path / "s.csv"
-    code, _ = run("sweep", "--grid", "0.0,0.5,1.0", "--samples", "1",
-                  "--seed", "1", "--out", str(out))
+    code, _ = run("sweep", "--grid", "0.0,0.5,1.0", "--out", str(out))
     assert code == EXIT_OK
     assert len(out.read_text().strip().splitlines()) == 4
 
@@ -168,11 +138,12 @@ def test_nogo_unconstrained_reports_no_verdict(tmp_path):
 
 
 def test_nogo_certification_failure_exits_three(tmp_path):
-    # an impossible threshold forces the certificate to fail honestly
-    cfg = write_config(tmp_path / "cfg.json", certification_threshold=1e-30,
-                       leakage_tolerance=1e-3, penalty_weight=10.0)
+    # a tolerance above the largest leakage, sqrt 2, admits every gate, so a
+    # weak penalty finds a feasible entangling one and the certificate fails
+    cfg = write_config(tmp_path / "cfg.json", leakage_tolerance=2.0, penalty_weight=1e-3)
     code, _ = run("nogo", "--config", cfg, "--out", str(tmp_path / "r.json"))
     assert code == EXIT_CERTIFICATION
+    assert json.loads((tmp_path / "r.json").read_text())["certified"] is False
 
 
 def test_nogo_seed_flag_overrides_config(tmp_path):
@@ -388,8 +359,11 @@ def test_netlist_decomposes_haar(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["sweep", "--grid", "0,0.5", "--samples", "1", "--seed", "1",
-                  "--format", "json"], id="sweep-format"),
+    pytest.param(["sweep", "--grid", "0,0.5", "--format", "json"], id="sweep-format"),
+    # the sweep scores each mixing angle at zero phases: no samples, seed or jobs
+    pytest.param(["sweep", "--grid", "0,0.5", "--samples", "20"], id="sweep-samples"),
+    pytest.param(["sweep", "--grid", "0,0.5", "--seed", "1"], id="sweep-seed"),
+    pytest.param(["sweep", "--grid", "0,0.5", "--jobs", "2"], id="sweep-jobs"),
     pytest.param(["nogo", "--config", "CFG", "--format", "csv"], id="nogo-format"),
     pytest.param(["lift", "--haar", "2", "--photons", "1", "--jobs", "2"], id="lift-jobs"),
     pytest.param(["netlist", "--haar", "3", "--format", "csv"], id="netlist-format"),
@@ -463,7 +437,6 @@ def test_unknown_subcommand_is_usage_error():
 @pytest.mark.parametrize("argv", [
     ["lift", "--haar", "2", "--photons", "1"],
     ["netlist", "--haar", "2"],
-    ["sweep", "--grid", "0,0.5", "--samples", "1"],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_is_usage_error(tmp_path, argv):
     # numpy once rejected the seed with a ValueError traceback and exit 1

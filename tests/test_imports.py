@@ -29,7 +29,7 @@ PUBLIC = [
     "basis_to_jsonable", "beam_splitter", "block_diagonality_defect", "block_lemma_check",
     "bunched_partition", "composite_gate_fock", "composite_gate_mode_matrix",
     "computational_block", "decoupled_form_even", "decoupled_form_odd",
-    "dont_cause_errors_residuals", "element_matrix", "elements_from_jsonable",
+    "dont_cause_errors_residuals", "elements_from_jsonable",
     "elements_to_jsonable", "entangling_measure", "exp_i_hermitian", "extract_computational",
     "haar_random_unitary", "leakage", "lift_unitary", "lift_via_substitution",
     "lifted_to_csv", "lifted_to_jsonable", "nearest_unitary_block", "nogo_search_ancilla",
@@ -80,8 +80,7 @@ from focklift.cli import main
 codes = [
     main(["lift", "--haar", "3", "--photons", "2", "--seed", "1", "--out", out + "/lift.json"]),
     main(["netlist", "--haar", "3", "--seed", "1", "--out", out + "/net.json"]),
-    main(["sweep", "--grid", "0:1:2", "--samples", "1", "--seed", "1",
-          "--out", out + "/sweep.csv"]),
+    main(["sweep", "--grid", "0:1:2", "--out", out + "/sweep.csv"]),
 ]
 assert codes == [0, 0, 0], codes
 """

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from focklift.linalg import exp_i_hermitian, haar_random_unitary
 from focklift.modes import beam_splitter, composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
     _AncillaFamily,
+    _composite_scores,
     _coupling_mask,
     _penalty_levels,
     _project_feasible,
@@ -604,13 +606,16 @@ def _ancilla_point_eval(params, kind, cfg):
     (0.0, 61, "endpoint"),
 ])
 def test_two_mode_winner_reproduces_from_its_parameters(penalty_weight, seed, kind):
-    cfg = SearchConfig(modes=2, restarts=4, max_iterations=150,
+    # converged endpoints reach measure 0.0 and win the tie with their
+    # snapped points; a short budget leaves every endpoint leaky instead
+    cfg = SearchConfig(modes=2, restarts=4, max_iterations=10 if kind == "snapped" else 150,
                        penalty_weight=penalty_weight, seed=seed)
     result = nogo_search_two_mode(cfg)
     assert result.best_candidate == kind
     assert result.to_jsonable()["best_candidate"] == kind
-    # a snapped winner is reported under its snapped angles
-    meas, leak = _two_mode_point_eval(result.best_parameters)
+    # the winner is the gate at zero phases, a snapped one under its snapped angle
+    assert len(result.best_parameters) == 1
+    meas, leak = _two_mode_point_eval((0.0, 0.0, 0.0, 0.0, *result.best_parameters))
     assert meas == result.best_entangling_measure
     assert leak == result.best_leakage
 
@@ -646,7 +651,7 @@ def test_restart_trace_keys_are_pinned(search, cfg, kind):
                               f"{kind}_measure", f"{kind}_leakage", "nfev", "nit", "status"}
         # the simplex's n + 1 points, then per iteration a reflection, at most
         # one expansion or contraction and at most n shrunk vertices
-        n = 5 if kind == "snapped" else 4 * cfg.modes - 4
+        n = 1 if kind == "snapped" else 4 * cfg.modes - 4
         assert 1 <= entry["nit"] <= cfg.max_iterations
         assert n + 1 <= entry["nfev"] <= n + 1 + (n + 2) * (entry["nit"] - 1)
         assert entry["status"] == (2 if entry["nit"] == cfg.max_iterations else 0)
@@ -709,14 +714,12 @@ class StepFamily:
         return xs, self.scores(xs)
 
 
-class ZeroPhaseTwoMode(_TwoModeFamily):
-    """The two-mode objective from start points with a zero coordinate,
-    which the initial simplex steps away from by a fixed amount."""
+class ZeroMixingTwoMode(_TwoModeFamily):
+    """The two-mode objective from a zero mixing angle, which the initial
+    simplex steps away from by a fixed amount."""
 
     def start(self, rng):
-        x = super().start(rng)
-        x[0] = 0.0
-        return x
+        return np.zeros(1)
 
 
 def test_nelder_mead_matches_the_reference_bit_for_bit():
@@ -726,7 +729,7 @@ def test_nelder_mead_matches_the_reference_bit_for_bit():
     ladder = [levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
               for r in range(cfg.restarts)]
     statuses = assert_matches_reference_nelder_mead(_TwoModeFamily(), cfg, ladder)
-    for family in (_TwoModeFamily(), ZeroPhaseTwoMode(), StepFamily()):
+    for family in (_TwoModeFamily(), ZeroMixingTwoMode(), StepFamily()):
         for m in (1, 2, 3, 7, 40):
             statuses += assert_matches_reference_nelder_mead(
                 family, SearchConfig(max_iterations=m, seed=67), [0.0, 10.0, 1e5])
@@ -749,8 +752,11 @@ def packaged_search(name):
 
 def test_a_restart_ends_the_same_alone_as_among_others():
     # runs leave the chunk's arrays as they stop, so a run alone and the
-    # same run among others that stop before or after it must agree
+    # same run among others that stop before or after it must agree; the
+    # packaged runs converge in 27 to 46 iterations, so a cap between them
+    # stops some runs converged and the rest capped
     cfg, ladder = packaged_search("two_mode")
+    cfg = replace(cfg, max_iterations=36)
     full = _run_chunk((_TwoModeFamily(), cfg, ladder, 0, cfg.restarts))
     converged = sorted((entry["nit"], r) for r, (entry, _) in enumerate(full)
                        if entry["status"] == 0)
@@ -787,11 +793,13 @@ def test_a_chunk_scores_each_round_in_one_call(make_family, max_iterations):
     cfg = SearchConfig(max_iterations=max_iterations, seed=72)
     chunk = _run_chunk((family, cfg, [0.0, 10.0, 1e5], 0, 3))
     nfev = [entry["nfev"] for entry, _ in chunk]
-    assert sizes[0] == 3 * 6
+    n = len(chunk[0][1][0][1])  # the family's parameter count
+    assert sizes[0] == 3 * (n + 1)
     assert sum(sizes[:-2]) == sum(nfev)
     assert len(sizes) <= max(nfev) + 2
-    # at most a reflection, a second trial and 5 shrunk vertices an iteration
-    assert all(6 <= entry["nfev"] <= 6 + 7 * (entry["nit"] - 1) for entry, _ in chunk)
+    # at most a reflection, a second trial and n shrunk vertices an iteration
+    assert all(n + 1 <= entry["nfev"] <= n + 1 + (n + 2) * (entry["nit"] - 1)
+               for entry, _ in chunk)
     if max_iterations == 40 and family.kind == "step":
         assert max(sizes[1:-2]) > 3  # at least one shrink
 
@@ -812,13 +820,12 @@ def test_two_mode_stack_scores_each_row_as_its_gate_alone():
     # the two-mode objective was stacked
     golden = json.loads((Path(__file__).with_name("two_mode_golden.json")).read_text())
     rows = two_mode_rows(golden["seed"], golden["random_rows"])
-    family = _TwoModeFamily()
-    stacked = family.scores(rows)
+    stacked = _composite_scores(rows)
     assert len(stacked) == len(golden["measure"]) == len(golden["leakage"])
     for row, scores, ref_measure, ref_leakage in zip(
             rows, stacked, golden["measure"], golden["leakage"]):
         measure, leak = scores
-        assert tuple(family.scores(row[np.newaxis])[0]) == (measure, leak)
+        assert tuple(_composite_scores(row[np.newaxis])[0]) == (measure, leak)
         assert _two_mode_point_eval(row) == (measure, leak)
         assert abs(measure - ref_measure) <= 1e-15
         assert abs(leak - ref_leakage) <= 1e-15
@@ -826,12 +833,16 @@ def test_two_mode_stack_scores_each_row_as_its_gate_alone():
 
 def test_two_mode_scores_follow_the_closed_form_tradeoff():
     # with d = |remainder(eps, pi/2)|, the measure is 1 - cos^4(d/2) and the
-    # leakage sqrt2 sin 2d, whatever the four phases
+    # leakage sqrt2 sin 2d, whatever the four phases: they are the gauge
+    # that lets the two-mode family search eps alone, at zero phases
     xs = np.random.default_rng(39).uniform(-math.pi, math.pi, (4000, 5))
     d = np.abs([math.remainder(eps, math.pi / 2) for eps in xs[:, 4]])
-    measure, leak = _TwoModeFamily().scores(xs).T
-    assert np.max(np.abs(measure - (1.0 - np.cos(d / 2) ** 4))) <= 1e-12
-    assert np.max(np.abs(leak - math.sqrt(2) * np.sin(2 * d))) <= 1e-12
+    law = np.column_stack([1.0 - np.cos(d / 2) ** 4, math.sqrt(2) * np.sin(2 * d)])
+    phased = _composite_scores(xs)
+    zero_phase = _TwoModeFamily().scores(xs[:, 4:])
+    for scores in (phased, zero_phase):
+        assert np.max(np.abs(scores - law)) <= 2e-15
+    assert np.max(np.abs(phased - zero_phase)) <= 2e-15
 
 
 def ancilla_rows(modes, seed, count):
@@ -891,7 +902,7 @@ def _zero_measure(gate):
 
 
 @pytest.mark.parametrize("family, rows", [
-    (_TwoModeFamily(), two_mode_rows(74, 5)),
+    (_TwoModeFamily(), two_mode_rows(74, 5)[:, 4:]),
     (ancilla_family(3), ancilla_rows(3, 75, 3)),
     (ancilla_family(4, 1), ancilla_rows(4, 76, 3)),
 ], ids=["two_mode", "ancilla-3-0", "ancilla-4-1"])
