@@ -21,6 +21,7 @@ import focklift.cli
 from focklift.cli import (EXIT_CERTIFICATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS,
                           _build_parser, main)
 from focklift.linalg import haar_random_unitary
+from focklift.nogo import MAX_JOBS
 
 
 def run(*argv):
@@ -76,21 +77,36 @@ def test_sweep_requires_out(tmp_path):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("grid", [
-    pytest.param("", id="empty"),
-    pytest.param("0,nan", id="nan"),
-    pytest.param("inf", id="inf"),
-    pytest.param("0:inf:3", id="inf-range"),
+@pytest.mark.parametrize("args, prefix", [
+    pytest.param(["--grid", ""], "error: ", id="empty"),
+    pytest.param(["--grid", "0,nan"], "error: ", id="nan"),
+    pytest.param(["--grid", "inf"], "error: ", id="inf"),
+    pytest.param(["--grid", "0:inf:3"], "error: ", id="inf-range"),
     # an unbounded count once asked numpy for a 7.45 GiB linspace
-    pytest.param(f"0:1:{MAX_GRID_POINTS + 1}", id="oversize-range"),
+    pytest.param(["--grid", f"0:1:{MAX_GRID_POINTS + 1}"], "error: ", id="oversize-range"),
+    # a billion samples once asked numpy for 37.3 GiB; the sweep now takes
+    # no sample count at all, so the parser refuses every one
+    pytest.param(["--grid", "0", "--samples", "1000000001"], "usage: focklift",
+                 id="oversize-samples"),
+    pytest.param(["--grid", "0", "--samples", "0"], "usage: focklift", id="no-samples"),
 ])
-def test_sweep_rejects_bad_grid(tmp_path, grid):
+def test_sweep_rejects_bad_grid(tmp_path, args, prefix):
     # a NaN point once died in round(NaN) inside modes.py with exit 1
     out = tmp_path / "x.csv"
-    code, err = run_err("sweep", "--grid", grid, "--out", str(out))
+    code, err = run_err("sweep", *args, "--out", str(out))
     assert code == EXIT_USAGE
-    assert err.startswith("error: ")
+    assert err.startswith(prefix)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str(MAX_JOBS + 1)])
+def test_sweep_rejects_a_bad_jobs_value(tmp_path, jobs):
+    # the sweep scores its grid in one in-process call and takes no --jobs
+    out = tmp_path / "x.csv"
+    code, err = run_err("sweep", "--grid", "0,0.5", "--jobs", jobs, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.startswith("usage: focklift") and "--jobs" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_sweep_leaves_neither_file(tmp_path):
