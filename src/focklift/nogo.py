@@ -21,11 +21,13 @@ selection, so the reported constrained optimum is a max over genuinely
 feasible points and can only under-report the certificate.
 
 The optimizer is an in-package adaptive Nelder-Mead that holds a chunk's
-restarts as arrays and advances them together: every round scores all
-their pending points in one call on a stack, and both families score the
-whole stack at once, each row bit for bit as for its point alone.  A
-restart's path does not depend on the restarts it is stacked with, and its
-trace entry records the evaluations, iterations and stop status.
+restarts as arrays and advances them together: every round makes one
+iteration of each live restart, scoring all four of its trial points in one
+call on a stack (and its shrunk vertices, if it shrinks, in a second), and
+both families score the whole stack at once, each row bit for bit as for
+its point alone.  A restart's path does not depend on the restarts it is
+stacked with, and its trace entry records the evaluations, iterations and
+stop status.
 
 The ancilla certificate at the 1e-10 tolerance comes from projected
 candidates, which entangle nothing by construction: no optimizer endpoint
@@ -175,8 +177,10 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
 # search configuration and results
 # ---------------------------------------------------------------------------
 
-# a config with more restarts is rejected before the search allocates them; at
-# the cap the first-round simplices at M = 6 hold ~107 MB
+# a config with more restarts is rejected before the search allocates them.  At
+# the cap the first round scores (n + 1) R points: at M = 6 (n = 20) scoring
+# them peaks near 3 GB.  A later round scores 4R points, fewer for n >= 3; the
+# two-mode family (n = 1) scores 2R and then 40 000 points, which peak near 65 MB
 MAX_RESTARTS = 10_000
 # more jobs are rejected before any process pool exists, which may start all
 # of its workers on the first task; fixed, so a command runs on every machine
@@ -289,21 +293,10 @@ def _penalty_levels(cfg: SearchConfig) -> list[float]:
     return levels
 
 
-# Nelder-Mead converges once its simplex spans at most _XATOL in every
+# Nelder-Mead convergence: the simplex spans at most _XATOL in every
 # coordinate and _FATOL in value
 _XATOL = 1e-12
 _FATOL = 1e-14
-
-# kinds of a run's pending evaluation, then the two ends of an iteration (the
-# worst vertex replaced, or the shrunk vertices scored), after which it reflects
-_EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _REFLECT, _ACCEPT, _SHRUNK = range(7)
-# the step after a pending point of each kind scores f, by the flags 8 (f < best),
-# 4 (f < second-worst), 2 (f < worst vertex value) and 1 (f <= the reflection's)
-_NEXT = np.array([[_ACCEPT] * 16,  # to the expansion, or back to the reflection
-                  [_SHRINK, _ACCEPT] * 8,
-                  [_SHRINK, _SHRINK, _ACCEPT, _ACCEPT] * 4,
-                  [_SHRUNK] * 16]
-                 + [[_INSIDE] * 2 + [_OUTSIDE] * 2 + [_ACCEPT] * 4 + [_EXPAND] * 8] * 3)
 
 
 def _nelder_mead(objective, x0: np.ndarray, maxiter: int):
@@ -313,79 +306,67 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int):
     Returns the (R, n) ends and per run nfev, nit and status (0 converged, 2
     iteration cap), bit for bit those of the adaptive
     ``optimize._minimize_neldermead`` 1.17 (rho = 1 folded in) given maxiter
-    alone.  The runs are held as arrays; each round scores every live run's
-    pending points in one objective call and advances all runs with the same
-    array operations, and a run that stops leaves the arrays."""
+    alone.  The runs are held as arrays, and each loop pass makes one
+    iteration of every live run: once a simplex is sorted, all four of its
+    trial points are fixed, so one objective call scores the reflection,
+    expansion and both contractions of every run, and a second scores the
+    moved vertices of the runs that shrink.  nfev counts only the points the
+    source scores; a run that stops leaves the arrays."""
     runs, n = x0.shape
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    # a trial point is a * xbar + b * worst vertex, (a, b) = coef[:, kind]
-    # (-1 * w and -chi * w are exact negations); a shrink has none
-    coef = np.array([[1 + chi, 1 + psi, 1 - psi, 0] + [2] * 3,
-                     [-chi, -psi, psi, 0] + [-1] * 3])[..., None]
-    axis, vertices = np.arange(n), np.arange(n + 1)
+    # trial points a * xbar + b * worst vertex: reflection, expansion, outside
+    # and inside contraction (-1 * w and -chi * w are exact negations)
+    a = np.array([[2], [1 + chi], [1 + psi], [1 - psi]])
+    b = np.array([[-1], [-chi], [-psi], [psi]])
+    axis = np.arange(n)
     sim = np.repeat(x0[:, None], n + 1, axis=1)
     sim[:, axis + 1, axis] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = objective(sim.reshape(-1, n), np.repeat(np.arange(runs), n + 1)).reshape(runs, n + 1)
-    ids, nfev, nit = np.arange(runs), np.full(runs, n + 1), np.ones(runs, dtype=int)
-    # argsort is not stable: sorted here and again in the first round, as in the source
+    ids = np.arange(runs)
+    fsim = objective(sim.reshape(-1, n), ids.repeat(n + 1)).reshape(runs, n + 1)
+    nfev, nit = np.full(runs, n + 1), np.ones(runs, dtype=int)
+    x, nfev_at, nit_at = np.empty((runs, n)), np.empty(runs, dtype=int), np.empty(runs, dtype=int)
+    # argsort is not stable: sorted here and again in the first pass, as in the source
     base = ids[:, None] * (n + 1)  # each run's first vertex in the flattened sim, fsim
     order = fsim.argsort(axis=1) + base
     sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
-    edges = (vertices == 0) * 8 + (vertices == n - 1) * 4 + (vertices == n) * 2
-    kind, fxr, ended = np.full(runs, _REFLECT), np.zeros(runs), np.ones(runs, dtype=bool)
-    x, nfev_at, nit_at = np.empty((runs, n)), np.empty(runs, dtype=int), np.empty(runs, dtype=int)
     while True:
-        if np.count_nonzero(ended):
-            # sort the runs that ended an iteration; stop those capped or converged
-            order = np.where(ended[:, None], fsim.argsort(axis=1), vertices) + base
-            sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
-            # a capped run has ended an iteration; sorted values spread over last - first
-            capped = nit >= maxiter
-            stop = capped | (fsim[:, -1] - fsim[:, 0] <= _FATOL)
-            if np.count_nonzero(stop):
-                stop &= capped | ended & (abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+        order = fsim.argsort(axis=1) + base
+        sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
+        # stop the capped runs and the converged ones (sorted values spread
+        # over last - first)
+        capped = nit >= maxiter
+        stop = capped | (fsim[:, -1] - fsim[:, 0] <= _FATOL)
+        if np.count_nonzero(stop):
+            stop &= capped | (abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
             if np.count_nonzero(stop):
                 done = ids[stop]
                 x[done], nfev_at[done], nit_at[done] = sim[stop, 0], nfev[stop], nit[stop]
-                ids, sim, fsim, kind, fxr, nfev, nit, ended = (
-                    a[~stop] for a in (ids, sim, fsim, kind, fxr, nfev, nit, ended))
+                ids, sim, fsim, nfev, nit = (v[~stop] for v in (ids, sim, fsim, nfev, nit))
                 if not ids.size:
                     break
                 base = base[:ids.size]
-            xbar = sim[:, :-1].sum(axis=1) / n  # as it was for runs mid-iteration
-        kinds = kind.tolist()
-        ab = coef.take(kind, axis=1)
-        point = ab[0] * xbar + ab[1] * sim[:, -1]
-        if _SHRINK in kinds:
+        xbar = sim[:, :-1].sum(axis=1) / n
+        trial = a * xbar[:, None] + b * sim[:, -1:]
+        f = objective(trial.reshape(-1, n), ids.repeat(4)).reshape(-1, 4)
+        fr, fe, fc, fcc = f.T
+        expand = fr < fsim[:, 0]
+        reflect = ~expand & (fr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fr < fsim[:, -1])
+        inside = ~(expand | reflect | outside)
+        # the trial that replaces the worst vertex unless the run shrinks; an
+        # expansion no better than its reflection keeps the reflection
+        pick = (expand & (fe < fr)) + 2 * outside + 3 * inside
+        shrink = outside & ~(fc <= fr) | inside & ~(fcc < fsim[:, -1])
+        nfev += 1 + ~reflect + n * shrink
+        nit += 1
+        every, keep = np.arange(ids.size), ~shrink
+        np.copyto(sim[:, -1], trial[every, pick], where=keep[:, None])
+        np.copyto(fsim[:, -1], f[every, pick], where=keep)
+        if np.count_nonzero(shrink):
             # a shrinking run scores its n moved vertices, in the source's order
-            shrunk = kind == _SHRINK
-            single = ~shrunk
-            values = objective(np.concatenate([point[single], sim[shrunk, 1:].reshape(-1, n)]),
-                               np.concatenate([ids[single], ids[shrunk].repeat(n)]))
-            f = np.zeros(ids.size)
-            f[single], tail = np.split(values, [single.sum()])
-            fsim[shrunk, 1:] = tail.reshape(-1, n)
-            nfev += single + n * shrunk
-            nit += shrunk
-        else:
-            f = objective(point, ids)
-            nfev += 1
-        np.copyto(fxr, f, where=kind >= _REFLECT)
-        step = _NEXT[kind, (f[:, None] < fsim) @ edges + (f <= fxr)]
-        if _EXPAND in kinds:
-            # an expansion no better than its reflection keeps the reflection
-            keep_xr = (kind == _EXPAND) & ~(f < fxr)
-            np.copyto(point, 2 * xbar - sim[:, -1], where=keep_xr[:, None])
-            np.copyto(f, fxr, where=keep_xr)
-        if _SHRINK in step.tolist():
-            moved = step == _SHRINK
-            sim[moved, 1:] = sim[moved, :1] + sigma * (sim[moved, 1:] - sim[moved, :1])
-        accept = step == _ACCEPT
-        np.copyto(sim[:, -1], point, where=accept[:, None])
-        np.copyto(fsim[:, -1], f, where=accept)
-        nit += accept
-        ended = step >= _ACCEPT
-        kind = step
+            moved = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
+            sim[shrink, 1:] = moved
+            fsim[shrink, 1:] = objective(moved.reshape(-1, n), ids[shrink].repeat(n)).reshape(-1, n)
     return x, nfev_at, nit_at, np.where(nit_at >= maxiter, 2, 0)
 
 

@@ -723,12 +723,11 @@ class ZeroMixingTwoMode(_TwoModeFamily):
 
 
 def test_nelder_mead_matches_the_reference_bit_for_bit():
-    raw = json.loads(resources.files("focklift").joinpath("configs", "two_mode.json").read_text())
-    cfg = SearchConfig.from_jsonable(raw)
-    levels = _penalty_levels(cfg)
-    ladder = [levels[min(len(levels) - 1, r * len(levels) // cfg.restarts)]
-              for r in range(cfg.restarts)]
+    cfg, ladder = packaged_search("two_mode")
     statuses = assert_matches_reference_nelder_mead(_TwoModeFamily(), cfg, ladder)
+    # the first m4_ancilla restart at the packaged budget, the workload's own path
+    cfg, ladder = packaged_search("m4_ancilla")
+    statuses += assert_matches_reference_nelder_mead(ancilla_family(4, 1), cfg, ladder[:1])
     for family in (_TwoModeFamily(), ZeroMixingTwoMode(), StepFamily()):
         for m in (1, 2, 3, 7, 40):
             statuses += assert_matches_reference_nelder_mead(
@@ -784,24 +783,39 @@ def test_a_restart_ends_the_same_alone_as_among_others():
 @pytest.mark.parametrize("make_family", [_TwoModeFamily, StepFamily], ids=["two_mode", "step"])
 @pytest.mark.parametrize("max_iterations", [1, 2, 40])
 def test_a_chunk_scores_each_round_in_one_call(make_family, max_iterations):
-    # every initial simplex goes in the first call, and a shrink's vertices
-    # in one call with the other runs' points; the last two calls score the
-    # endpoints and their feasible points
+    # every initial simplex goes in the first call; then a round scores the
+    # reflection, expansion and both contractions of every live run in one
+    # call, and the moved vertices of the runs that shrink in at most one
+    # more; the last two calls score the endpoints and their feasible points
     family = make_family()
     sizes, scores = [], family.scores
     family.scores = lambda xs: (sizes.append(len(xs)), scores(xs))[1]
     cfg = SearchConfig(max_iterations=max_iterations, seed=72)
     chunk = _run_chunk((family, cfg, [0.0, 10.0, 1e5], 0, 3))
-    nfev = [entry["nfev"] for entry, _ in chunk]
+    nit = [entry["nit"] for entry, _ in chunk]
     n = len(chunk[0][1][0][1])  # the family's parameter count
     assert sizes[0] == 3 * (n + 1)
-    assert sum(sizes[:-2]) == sum(nfev)
-    assert len(sizes) <= max(nfev) + 2
+    assert sizes[-2:] == [3, 3]
+    # round k advances the runs that end past iteration k; a shrink call
+    # (n = 1 or 5 rows a run, 3 runs at most) never has a round's 4, 8 or
+    # 12 rows
+    calls, shrinks = iter(sizes[1:-2]), 0
+    size = next(calls, None)
+    for k in range(1, max(nit)):
+        live = sum(it > k for it in nit)
+        assert size == 4 * live
+        size = next(calls, None)
+        if size is not None and size % 4:
+            assert size % n == 0 and size // n <= live
+            shrinks += 1
+            size = next(calls, None)
+    assert size is None
+    assert len(sizes) == max(nit) + shrinks + 2
     # at most a reflection, a second trial and n shrunk vertices an iteration
     assert all(n + 1 <= entry["nfev"] <= n + 1 + (n + 2) * (entry["nit"] - 1)
                for entry, _ in chunk)
     if max_iterations == 40 and family.kind == "step":
-        assert max(sizes[1:-2]) > 3  # at least one shrink
+        assert shrinks >= 1
 
 
 def two_mode_rows(seed, count):
