@@ -239,10 +239,11 @@ class SearchResult:
     """Outcome of a certificate search.
 
     best_* describe the winning candidate under the search's selection rule
-    (max measure over feasible candidates when constrained, max measure
-    overall when unconstrained).  ``feasible`` records whether any candidate
-    met the leakage tolerance; for constrained runs it is always expected
-    to be True thanks to the snapped/projected candidates.
+    (max measure over feasible candidates when constrained, the smaller
+    constraint winning a tie; max measure overall when unconstrained).
+    ``feasible`` records whether any candidate met the leakage tolerance;
+    for constrained runs it is always expected to be True thanks to the
+    snapped/projected candidates.
 
     ``best_candidate`` names the winner's kind: ``"endpoint"`` (an optimizer
     endpoint), ``"snapped"`` (two-mode: the endpoint with its mixing angle
@@ -425,8 +426,9 @@ def _select_best(candidates: list[_Candidate], constrained: bool,
     feasible = [c for c in candidates if c[3] <= tol]
     if constrained:
         # among feasible points report the LARGEST measure: the certificate
-        # must be an upper bound over everything the search could certify
-        best = (max(feasible, key=lambda c: c[2]) if feasible
+        # must be an upper bound over everything the search could certify;
+        # of equal measures, the smaller constraint
+        best = (max(feasible, key=lambda c: (c[2], -c[3])) if feasible
                 else min(candidates, key=lambda c: c[3]))
         return best, bool(feasible)
     best = max(candidates, key=lambda c: c[2])

@@ -22,6 +22,7 @@ from focklift.nogo import (
     _project_feasible,
     _run_chunk,
     _run_restarts,
+    _select_best,
     _task_rng,
     _TwoModeFamily,
     AncillaCheckReport,
@@ -606,8 +607,7 @@ def _ancilla_point_eval(params, kind, cfg):
     (0.0, 61, "endpoint"),
 ])
 def test_two_mode_winner_reproduces_from_its_parameters(penalty_weight, seed, kind):
-    # converged endpoints reach measure 0.0 and win the tie with their
-    # snapped points; a short budget leaves every endpoint leaky instead
+    # a short budget leaves every endpoint leaky, so a snapped point wins
     cfg = SearchConfig(modes=2, restarts=4, max_iterations=10 if kind == "snapped" else 150,
                        penalty_weight=penalty_weight, seed=seed)
     result = nogo_search_two_mode(cfg)
@@ -618,6 +618,18 @@ def test_two_mode_winner_reproduces_from_its_parameters(penalty_weight, seed, ki
     meas, leak = _two_mode_point_eval((0.0, 0.0, 0.0, 0.0, *result.best_parameters))
     assert meas == result.best_entangling_measure
     assert leak == result.best_leakage
+
+
+def test_equal_feasible_measures_report_the_smaller_constraint():
+    candidates = [("endpoint", [0.1], 0.0, 6.8e-16), ("snapped", [0.0], 0.0, 0.0),
+                  ("endpoint", [0.2], -1.0, 0.0), ("endpoint", [0.3], 0.5, 1.0)]
+    assert _select_best(candidates, True, 1e-10) == (candidates[1], True)
+    # the packaged two-mode search ends on measure 0.0 at endpoints a hair
+    # off the decoupling set and at their exactly decoupled snapped points
+    cfg, _ = packaged_search("two_mode")
+    result = nogo_search_two_mode(cfg)
+    assert (result.best_candidate, result.best_entangling_measure, result.best_leakage,
+            result.best_parameters) == ("snapped", 0.0, 0.0, [0.0])
 
 
 @pytest.mark.parametrize("penalty_weight, seed, kind", [
