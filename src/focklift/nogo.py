@@ -373,8 +373,9 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int):
 
 def _run_chunk(args: tuple) -> list[tuple[dict, list[_Candidate]]]:
     """Nelder-Mead runs of measure - mu * constraint for restarts lo..hi-1,
-    advanced together: each round scores the pending points of all runs in
-    one family.scores call, and each run sees only its own values.  Per
+    advanced together: each round scores the four trial points of every live
+    run in one family.scores call (and the vertices of the runs that shrink
+    in a second), and each run sees only its own values.  Per
     restart, its trace entry and candidates (endpoint and feasible point)."""
     family, cfg, mus, lo, hi = args
     mu = np.array(mus[lo:hi])

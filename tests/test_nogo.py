@@ -857,6 +857,15 @@ def test_two_mode_stack_scores_each_row_as_its_gate_alone():
         assert abs(leak - ref_leakage) <= 1e-15
 
 
+def test_two_mode_stack_reduces_angles_as_the_single_gate_does():
+    # angles beyond (-pi, pi] and off the quarter-turn lattice: the stack
+    # must reduce them as CompositeGateParams does, row by row
+    rng = np.random.default_rng(77)
+    rows = rng.choice([-1.0, 1.0], (64, 5)) * rng.uniform(math.pi + 0.01, 40.0, (64, 5))
+    for row, scores in zip(rows, _composite_scores(rows)):
+        assert tuple(scores) == _two_mode_point_eval(row)
+
+
 def test_two_mode_scores_follow_the_closed_form_tradeoff():
     # with d = |remainder(eps, pi/2)|, the measure is 1 - cos^4(d/2) and the
     # leakage sqrt2 sin 2d, whatever the four phases: they are the gauge
