@@ -294,7 +294,7 @@ def _penalty_levels(cfg: SearchConfig) -> list[float]:
     return levels
 
 
-# Nelder-Mead convergence: the simplex spans at most _XATOL in every
+# Nelder-Mead converges once its simplex spans at most _XATOL in every
 # coordinate and _FATOL in value
 _XATOL = 1e-12
 _FATOL = 1e-14
@@ -375,8 +375,8 @@ def _run_chunk(args: tuple) -> list[tuple[dict, list[_Candidate]]]:
     """Nelder-Mead runs of measure - mu * constraint for restarts lo..hi-1,
     advanced together: each round scores the four trial points of every live
     run in one family.scores call (and the vertices of the runs that shrink
-    in a second), and each run sees only its own values.  Per
-    restart, its trace entry and candidates (endpoint and feasible point)."""
+    in a second), and each run sees only its own values.  Per restart, its
+    trace entry and candidates (endpoint and feasible point)."""
     family, cfg, mus, lo, hi = args
     mu = np.array(mus[lo:hi])
 
