@@ -11,7 +11,8 @@ the creation-operator recursion (Miatto & Quesada, Quantum 4, 366 (2020))
 
     phi(v)|n> = n_j^{-1/2} (sum_i v[i, j] a_i+) phi(v)|n - e_j>
 
-builds sector N from sector N - 1, so one pass yields every sector 0..N.
+builds sector N from sector N - 1, so one pass from sector 1, a copy of v,
+yields every sector 0..N.
 The permanent formula is the test oracle; ``lift_via_substitution``
 recomputes the same action by substituting a_i+ -> sum_j v[j, i] a_j+ and
 expanding, the independent oracle for the orientation conventions above.
@@ -114,23 +115,25 @@ def _kept_entries(modes: int, photons: int) -> int:
 def _check_lift_size(modes: int, photons: int) -> int:
     """Raise ResourceLimitError when a lift to N photons would keep more than
     MAX_BASIS_SIZE sectors or MAX_BASIS_SIZE**2 entries in all; else return
-    how many such lifts, stacked, keep at most that many entries."""
+    how many entries it keeps."""
     photons = _integer(photons, "photons", 0)
     if photons >= MAX_BASIS_SIZE or _kept_entries(modes, photons) > MAX_BASIS_SIZE ** 2:
         raise ResourceLimitError(
             f"a lift keeps the sectors 0..{photons} on {modes} modes; the cap is "
             f"{MAX_BASIS_SIZE} sectors and {MAX_BASIS_SIZE ** 2} entries in all"
         )
-    return MAX_BASIS_SIZE ** 2 // _kept_entries(modes, photons)
+    return _kept_entries(modes, photons)
 
 
 @dataclass(frozen=True)
 class LiftedUnitary:
     """A mode unitary on the photon-number sectors 0..N: ``sectors[k]`` is
-    its k-photon matrix; ``basis`` and ``matrix`` are those of sector N."""
+    its k-photon matrix; ``basis`` and ``matrix`` are those of sector N.
+    Sectors are views of ``entries``, which holds them in turn, row-major."""
 
     basis: FockBasis
     sectors: tuple[np.ndarray, ...]
+    entries: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
@@ -141,12 +144,12 @@ class LiftedUnitary:
 def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     """Tables that build the N-photon sector from the (N-1)-photon one.
 
-    Column n peels a photon off its first occupied mode j (``peel``), from
-    ``parent`` = index of n - e_j, with factor ``inv`` = 1/sqrt(n_j).  Row r
-    adds it back from each mode i: ``source[r, i, 0]`` = flat offset of row
-    r - e_i in the (N-1)-photon matrix and ``weight[r, 0, i]`` = sqrt(r_i)
-    (0, source 0, when r_i = 0; factors complex so no product casts).
-    O(D * M) entries, read-only: callers share them.
+    Column n peels a photon off its first occupied mode j (``peel``) with
+    factor ``inv`` = 1/sqrt(n_j).  Row r adds it back from each mode i:
+    ``index[r, i, n]`` = where a lift's ``entries`` hold entry (r - e_i, n -
+    e_j) of sector N - 1, ``weight[r, 0, i]`` = sqrt(r_i) (0, row 0, when r_i
+    = 0; factors complex so no product casts).  O(D * M * D) entries, M per
+    lifted entry; read-only: callers share them.
     """
     states = basis_enumerate(modes, photons).states
     below = basis_enumerate(modes, photons - 1)
@@ -155,8 +158,9 @@ def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
                         for i, k in enumerate(s)] for s in states], dtype=np.intp)
     rows = np.arange(len(states))
     peel = np.argmax(occ > 0, axis=1)
-    tables = (peel, source[rows, peel], (1.0 / np.sqrt(occ[rows, peel])).astype(complex),
-              source[:, :, None] * len(below), np.sqrt(occ)[:, None, :].astype(complex))
+    parent = _kept_entries(modes, photons - 2) + source[rows, peel]  # sector N - 1, column n - e_j
+    tables = (peel, (1.0 / np.sqrt(occ[rows, peel])).astype(complex),
+              source[:, :, None] * len(below) + parent, np.sqrt(occ)[:, None, :].astype(complex))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -183,29 +187,33 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
     v = require_unitary(v, name="mode matrix", stack=True) if check else \
         _as_square(v, "mode matrix", stack=True)
     modes = v.shape[-1]
-    _check_lift_size(modes, photons)
+    kept = _check_lift_size(modes, photons)
     basis = basis_enumerate(modes, photons)
     vs = v.reshape(-1, modes, modes)
     lanes = len(vs)
-    sectors = [np.ones((lanes, 1, 1), dtype=complex)]
+    entries = np.empty((lanes, kept), dtype=complex)
+    entries[:, 0] = 1.0
+    sectors = [entries[:, :1].reshape(lanes, 1, 1)]
+    if photons:  # sector 1 is a copy of v itself
+        entries[:, 1:modes * modes + 1] = vs.reshape(lanes, -1)
+        sectors.append(entries[:, 1:modes * modes + 1].reshape(lanes, modes, modes))
     # gathers use take (fancy indexing may put the lane axis innermost) and
     # products are formed out of place (in place, numpy rounds another way),
     # so a lane meets the same kernels on the same strides at any width
-    for n in range(1, photons + 1):
-        peel, parent, inv, source, weight = _recursion_tables(modes, n)
-        prev = sectors[-1].reshape(lanes, -1)
+    for n in range(2, photons + 1):
+        peel, inv, index, weight = _recursion_tables(modes, n)
         coeff = (vs.take(peel, axis=2) * inv)[:, np.newaxis]  # v[i, j] / sqrt(n_j), column n
-        d = len(peel)
-        out = np.empty((lanes, d, 1, d), dtype=complex)
-        # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|prev|n - e_j>,
+        d, at = len(peel), _kept_entries(modes, n - 1)
+        out = entries[:, at:at + d * d].reshape(lanes, d, 1, d)
+        # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|sector n-1|n - e_j>,
         # as many rows at a time as keep the (lanes, rows, M, D) gather within one block
         step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
         for a in range(0, d, step):
             rows = slice(a, a + step)
-            gathered = prev.take(source[rows] + parent, axis=1)
-            np.matmul(weight[rows], gathered * coeff, out=out[:, rows])
+            np.matmul(weight[rows], entries.take(index[rows], axis=1) * coeff, out=out[:, rows])
         sectors.append(out.reshape(lanes, d, d))
-    return LiftedUnitary(basis=basis, sectors=tuple(s[0] if v.ndim == 2 else s for s in sectors))
+    sectors = tuple(s[0] for s in sectors) if v.ndim == 2 else tuple(sectors)
+    return LiftedUnitary(basis, sectors, entries[0] if v.ndim == 2 else entries)
 
 
 # ---------------------------------------------------------------------------

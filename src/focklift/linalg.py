@@ -48,7 +48,7 @@ def _as_square(m, name: str, stack: bool = False, dim: int | None = None) -> np.
 
 def _integer(value, name: str, low: int, high: int | None = None) -> int:
     """value as an int when it is an integer (not a bool) in low..high."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
         bounds = f">= {low}" if high is None else f"in {low}..{high}"
@@ -59,7 +59,8 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
 def _finite(value, name: str) -> float:
     """value as a float when it is a finite real number (not a bool)."""
     try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        if (type(value) in (float, int) or isinstance(value, numbers.Real)
+                and not isinstance(value, bool)) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fock import _check_lift_size, basis_enumerate, lift_unitary
+from .fock import _check_lift_size, _kept_entries, basis_enumerate, lift_unitary
 from .linalg import _as_square, _finite, _integer, exp_i_hermitian, require_unitary
 from .modes import _reduce_angles
 from .singlerail import (_composite_gates, _couplings, _polar_blocks, entangling_measure,
@@ -178,10 +178,12 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
 # ---------------------------------------------------------------------------
 
 # a config with more restarts is rejected before the search allocates them.  At
-# the cap the first round scores (n + 1) R points: at M = 6 (n = 20) scoring
-# them peaks near 3 GB.  A later round scores 4R points, fewer for n >= 3; the
-# two-mode family (n = 1) scores 2R and then 40 000 points, which peak near 65 MB
+# the cap a first round scores (n + 1) R points, 210 000 at M = 6 (n = 20), a later
+# one 4R or fewer; two-mode (n = 1) rounds of 40 000 points peak near 65 MB
 MAX_RESTARTS = 10_000
+# an ancilla objective call scores chunks whose lifts keep at most this many entries
+# (4 MiB): 210 000 points at M = 6 peak near 10 MB, packaged rounds stay one chunk
+_SCORE_ENTRIES = 1 << 18
 # more jobs are rejected before any process pool exists, which may start all
 # of its workers on the first task; fixed, so a command runs on every machine
 MAX_JOBS = 64
@@ -272,7 +274,7 @@ class SearchResult:
     wall_time: float
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # shallow: asdict's deep copy of the trace costs ms
 
 
 # ---------------------------------------------------------------------------
@@ -561,45 +563,50 @@ class _AncillaFamily:
     The four computational inputs |n1 n2> ride along with all ancilla
     photons in the first ancilla mode; each output is compared, per rail
     occupation, with the ancilla state chi that the input |0 0> leaves.
-    A stack of points takes one exponential, then one lift and one gather
-    per ``lanes`` points (at every packaged size, the whole stack).
+    A stack is scored ``lanes`` points at a time, as many as keep _SCORE_ENTRIES
+    lifted entries (at every packaged size, the whole stack).
     """
 
     kind = "projected"
 
     def __init__(self, cfg: SearchConfig):
         m, k = cfg.modes, cfg.ancilla_photons
-        self.lanes = _check_lift_size(m, k + 2)
+        self.lanes = max(1, _SCORE_ENTRIES // _check_lift_size(m, k + 2))
         self.modes, self.photons = m, k + 2
-        # generator: x[:2] on the rail diagonal, then (re, im) pairs of the
-        # rail rows' entries right of it, row by row
+        # generator: x[:2] on the rail diagonal, then (re, im) pairs of the rail rows'
+        # entries right of it, row by row; H = x @ gen is exact (each entry is +-1 x)
         upper = np.triu_indices(m, 1)
-        rail = upper[0] < 2
-        self.gen_rows = np.concatenate([[0, 1], upper[0][rail]])
-        self.gen_cols = np.concatenate([[0, 1], upper[1][rail]])
-        # flat computational <-> bunched entries of the top sector, which
-        # holds the doubly occupied input
-        self.coupling = np.flatnonzero(_coupling_mask(m, k + 2))
+        i, j = (u[upper[0] < 2] for u in upper)
+        q = 2 + 2 * np.arange(len(i))
+        gen = np.zeros((4 * m - 4, m, m), dtype=complex)
+        gen[[0, 1], [0, 1], [0, 1]] = 1.0
+        gen[q, i, j] = gen[q, j, i] = 1.0
+        gen[q + 1, i, j], gen[q + 1, j, i] = 1j, -1j
+        self.gen = gen.reshape(4 * m - 4, -1).view(float)
         ancilla = basis_enumerate(m - 2, k).states
-        # a lane's entries: the 2 (M - 2) rail-ancilla entries of v, from
-        # starts[0] the coupling entries and from starts[1] the output columns
-        # of the first four rail occupations, the computational inputs in gate
-        # column order; a row of ``blocks`` holds the (rails, ancilla state)
-        # positions of one input's rail occupation, ``gate_at`` the flat gate
-        # entry of each computational row ``gate_rows``
-        self.starts = (2 * (m - 2), 2 * (m - 2) + len(self.coupling))
+        # a lane's entries, gathered from its lift's: the 2 (M - 2) rail-ancilla
+        # entries of v, from starts[0] the top sector's computational <-> bunched
+        # entries and from starts[1] the output columns of the first four rail
+        # occupations, the computational inputs in gate column order; a row of
+        # ``blocks`` holds the (rails, ancilla state) positions of one input's rail
+        # occupation, ``gate_at`` the flat gate entry of each computational row ``gate_rows``
+        gather = [1 + np.arange(2)[:, None] * m + np.arange(2, m),
+                  _kept_entries(m, k + 1) + np.flatnonzero(_coupling_mask(m, k + 2))]
+        self.starts = (2 * (m - 2), 2 * (m - 2) + len(gather[1]))
         rails = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
-        self.columns, blocks, self.gate_rows, self.gate_at = [], [], [], []
+        blocks, self.gate_rows, self.gate_at = [], [], []
         offset = self.starts[1]
         for c, n in enumerate(rails[:4]):
-            basis = basis_enumerate(m, sum(n) + k)
-            self.columns.append((sum(n) + k, basis.index(n + ancilla[0])))
+            basis, end = basis_enumerate(m, sum(n) + k), _kept_entries(m, sum(n) + k)
+            d = len(basis)  # input n's output column, in the sector ending at ``end``
+            gather.append(end + basis.index(n + ancilla[0]) + d * np.arange(-d, 0))
             for r in (r for r in rails if sum(r) == sum(n)):
                 if max(r) <= 1:
                     self.gate_rows.append(len(blocks))
                     self.gate_at.append(4 * (2 * r[0] + r[1]) + c)
                 blocks.append([offset + basis.index(r + a) for a in ancilla])
-            offset += len(basis)
+            offset += d
+        self.gather = np.concatenate([g.ravel() for g in gather])
         self.blocks = np.array(blocks, dtype=np.intp)
         self.gate_rows, self.gate_at = np.array(self.gate_rows), np.array(self.gate_at)
 
@@ -608,36 +615,33 @@ class _AncillaFamily:
 
     def unitaries(self, xs: np.ndarray) -> np.ndarray:
         """(L, M, M) mode unitaries exp(i H) of an (L, 4M - 4) stack of generators."""
-        entries = np.concatenate([xs[:, :2], xs[:, 2::2] + 1j * xs[:, 3::2]], axis=1)
-        h = np.zeros((len(xs), self.modes, self.modes), dtype=complex)
-        h[:, self.gen_cols, self.gen_rows] = entries.conj()
-        h[:, self.gen_rows, self.gen_cols] = entries
+        h = (xs @ self.gen).view(complex).reshape(-1, self.modes, self.modes)
         # read at call time from this module, where perfbench traces it
         return exp_i_hermitian(h)
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
         """(measure, constraint) rows of an (L, 4M - 4) stack of generators,
         each row bit for bit as for its point alone."""
-        return self.rows(self.unitaries(xs))
+        return self.rows(xs, self.unitaries)
 
-    def rows(self, v: np.ndarray) -> np.ndarray:
-        """rate's score rows of an (L, M, M) stack, ``lanes`` points a lift."""
-        return np.concatenate([self.rate(v[a:a + self.lanes])[0]
-                               for a in range(0, len(v), self.lanes)])
+    def rows(self, stack: np.ndarray, unitaries=np.asarray) -> np.ndarray:
+        """rate's score rows of the (L, M, M) mode unitaries that unitaries
+        makes of each ``lanes`` points of a stack (by default, the stack)."""
+        out = np.empty((len(stack), 2))
+        for a in range(0, len(stack), self.lanes):
+            out[a:a + self.lanes] = self.rate(unitaries(stack[a:a + self.lanes]))[0]
+        return out
 
     def rate(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(L, 2) (entangling measure, constraint weight) rows and (L, 4, 4)
         induced gates of an (L, M, M) stack of mode unitaries.  Sums run along
         a row's entries, so a row does not depend on the rows beside it."""
         lanes = len(v)
-        phi = lift_unitary(v, self.photons, check=False).sectors
-        cols = np.concatenate([v[:, :2, 2:].reshape(lanes, -1),
-                               phi[-1].reshape(lanes, -1).take(self.coupling, axis=1),
-                               *(phi[s][:, :, col] for s, col in self.columns)], axis=1)
+        cols = lift_unitary(v, self.photons, check=False).entries.take(self.gather, axis=1)
         blocks = cols.take(self.blocks, axis=1)
         # chi: the ancilla part of the |0 0> output, or the first ancilla state
         first = blocks[:, 0]
-        chi_norm = np.sqrt((first.real * first.real + first.imag * first.imag).sum(axis=1))
+        chi_norm = np.sqrt(np.add.reduce(first.real * first.real + first.imag * first.imag, axis=1))
         chi = first / np.maximum(chi_norm, 1e-12)[:, None]
         lost = chi_norm < 1e-12
         if np.count_nonzero(lost):
@@ -647,17 +651,19 @@ class _AncillaFamily:
         # (wrong ancilla state, or a photon moved between rails and ancillas)
         amps = np.matmul(blocks, chi.conj()[:, :, None])
         cols[:, self.blocks] = blocks - amps * chi[:, None, :]
-        gate = np.zeros((lanes, 4, 4), dtype=complex)
-        gate.reshape(lanes, 16)[:, self.gate_at] = amps[:, self.gate_rows, 0]
+        gate = np.zeros((16, lanes), dtype=complex)  # entry-major, as the measure reads it
+        gate[self.gate_at] = amps[:, self.gate_rows, 0].T
+        gate = gate.T.reshape(lanes, 4, 4)
         scores = np.empty((lanes, 2))
         # written into its column, so a replacement measure may return a scalar
         scores[:, 0] = entangling_measure(_polar_blocks(gate))
         a, b = self.starts
         sq = cols.real * cols.real + cols.imag * cols.imag
         # closed-form error-avoidance amplitudes 2 v[r, i]^2, rails r, ancillas i
-        residual = 2.0 * np.sqrt((sq[:, :a] * sq[:, :a]).sum(axis=1))
+        residual = 2.0 * np.sqrt(np.add.reduce(sq[:, :a] ** 2, axis=1))
         # leakage, residual and factorization defect
-        scores[:, 1] = np.sqrt(sq[:, a:b].sum(axis=1)) + residual + np.sqrt(sq[:, b:].sum(axis=1))
+        scores[:, 1] = (np.sqrt(np.add.reduce(sq[:, a:b], axis=1)) + residual
+                        + np.sqrt(np.add.reduce(sq[:, b:], axis=1)))
         return scores, gate
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

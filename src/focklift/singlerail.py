@@ -65,10 +65,10 @@ _RESHUFFLES = np.stack([np.arange(16).reshape(2, 2, 2, 2).transpose(axes)
                         for axes in ((0, 2, 1, 3), (1, 2, 0, 3))]).reshape(2, 4, 4)
 
 # diag(a, W, b) is 0 at _OFF_BLOCK; _POLAR_AT: a, b, det's row, W, W reversed;
-# _SCHMIDT_AT: [[a, x], [y, b]] of the two reshuffles, interleaved
+# _MEASURE_AT: [[a, x], [y, b]] of the two reshuffles, interleaved, then _OFF_BLOCK
 _OFF_BLOCK = np.array([1, 2, 3, 4, 7, 8, 11, 12, 13, 14])
 _POLAR_AT = np.array([0, 15, 0, 5, 6, 9, 10, 10, 9, 6, 5])
-_SCHMIDT_AT = np.array([0, 0, 5, 9, 10, 6, 15, 15])
+_MEASURE_AT = np.array([0, 0, 5, 9, 10, 6, 15, 15, *_OFF_BLOCK])
 _COF_SIGN = np.array([[1], [-1], [-1], [1]], dtype=complex)
 
 
@@ -286,15 +286,15 @@ def entangling_measure(gate: np.ndarray):
     """
     gate = _as_square(gate, "gate", stack=True, dim=4)
     flat = gate.reshape(-1, 16)
-    x = flat.T.take(_SCHMIDT_AT, axis=0)
+    x = flat.T.take(_MEASURE_AT, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # past ~1e154, p - r is inf - inf
-        sq, q = np.abs(x) ** 2, x[:4] * x[4:].conj()
+        sq, q = np.abs(x[:8]) ** 2, x[:4] * x[4:8].conj()
         p, r = sq[:2] + sq[2:4], sq[4:6] + sq[6:]  # rows |a|^2 + |x|^2 and |y|^2 + |b|^2
         top = (p + r) + np.hypot(p - r, 2.0 * np.abs(q[:2] + q[2:]))  # 2 sigma_1^2
     s2 = 0.5 * np.maximum(top[0], top[1])  # the larger s^2 gives the smaller 1 - s^2 / 4
-    mixed = flat.take(_OFF_BLOCK, axis=1)
+    mixed = x[8:]
     if np.count_nonzero(mixed):
-        rows = mixed.any(axis=1)
+        rows = mixed.any(axis=0)
         s = np.linalg.svd(flat[rows].take(_RESHUFFLES, axis=1), compute_uv=False)[:, :, 0]
         s2[rows] = s.max(axis=1) ** 2
     measure = np.fmax(0.0, 1.0 - s2 / 4.0)  # entries past 1e154 make inf - inf, and score 0

@@ -80,8 +80,12 @@ def test_lift_identity_is_identity():
 
 def test_lift_single_photon_is_the_mode_matrix():
     v = haar_random_unitary(4, 0)
-    lifted = lift_unitary(v, 1)
-    assert np.max(np.abs(lifted.matrix - v)) < 1e-15
+    for m in (v, np.array([v, haar_random_unitary(4, 1)])):
+        given = m.copy()
+        lifted = lift_unitary(given, 1)
+        assert np.array_equal(lifted.matrix, m)
+        given[...] = 0.0  # the lift keeps its own copy of the caller's array
+        assert np.array_equal(lifted.matrix, m)
 
 
 def test_hong_ou_mandel_dip():
@@ -205,7 +209,7 @@ def test_oversize_lift_fails_before_building_anything(monkeypatch):
     fock = importlib.import_module("focklift.fock")
     monkeypatch.setattr(fock, "MAX_BASIS_SIZE", 8)
     # at a cap of 8, (M, N) = (3, 2) keeps 1 + 9 + 36 = 46 <= 64 entries
-    assert fock._check_lift_size(3, 2) == 1
+    assert fock._check_lift_size(3, 2) == 46
     assert lift_unitary(np.array([haar_random_unitary(3, s) for s in range(3)]), 2).matrix.shape \
         == (3, 6, 6)
     # an oversize single matrix fails before any basis or table is built

@@ -402,10 +402,10 @@ class _NoCouplingFamily(_AncillaFamily):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        dropped = len(self.coupling)
-        self.coupling = self.coupling[:0]
-        self.blocks = self.blocks - dropped
-        self.starts = (self.starts[0], self.starts[0])
+        a, b = self.starts
+        self.gather = np.delete(self.gather, np.s_[a:b])
+        self.blocks = self.blocks - (b - a)
+        self.starts = (a, a)
 
 
 def test_coupling_term_alone_rejects_a_clean_entangling_witness():
@@ -505,6 +505,36 @@ def test_no_ancilla_parameter_is_a_gauge_direction(modes, ancilla_photons):
     singular = np.linalg.svd(jacobian, compute_uv=False)
     assert len(singular) == 4 * modes - 4
     assert singular[-1] > 1e-3
+
+
+def scatter_generators(modes, xs):
+    """The generators H of a stack, scattered entry by entry: x[:2] on the
+    rail diagonal, then (re, im) pairs of the rail rows' entries right of it,
+    row by row, mirrored as their conjugates (the oracle for the map)."""
+    upper = np.triu_indices(modes, 1)
+    rail = upper[0] < 2
+    rows = np.concatenate([[0, 1], upper[0][rail]])
+    cols = np.concatenate([[0, 1], upper[1][rail]])
+    entries = np.concatenate([xs[:, :2], xs[:, 2::2] + 1j * xs[:, 3::2]], axis=1)
+    h = np.zeros((len(xs), modes, modes), dtype=complex)
+    h[:, cols, rows] = entries.conj()
+    h[:, rows, cols] = entries
+    return h
+
+
+@pytest.mark.parametrize("modes", [3, 4, 5, 6])
+def test_generator_map_gives_the_scattered_generators(monkeypatch, modes):
+    family = ancilla_family(modes)
+    xs = np.random.default_rng(80 + modes).uniform(-math.pi, math.pi, (9, 4 * modes - 4))
+    xs[0], xs[1, ::3] = 0.0, 0.0
+    seen = []
+    monkeypatch.setattr(focklift.nogo, "exp_i_hermitian",
+                        lambda h: (seen.append(h), exp_i_hermitian(h))[1])
+    family.unitaries(xs)
+    expected = scatter_generators(modes, xs)
+    assert np.array_equal(seen[0], expected)
+    # bit for bit where no parameter is 0 (elsewhere a zero's sign may differ)
+    assert seen[0][2:].tobytes() == expected[2:].tobytes()
 
 
 def test_ancilla_objective_makes_one_lift_and_one_exponential(monkeypatch):
@@ -914,22 +944,36 @@ def test_ancilla_stack_scores_each_row_as_its_point_alone(modes, ancilla_photons
 
 
 def test_ancilla_scores_lift_at_most_lanes_within_the_entry_cap(monkeypatch):
-    # at a cap of 23, (M, N) = (4, 3) keeps 1 + 16 + 100 + 400 = 517 <= 529
-    # entries per lift, so a lift takes one point and rows do not move
+    # (M, N) = (4, 3) keeps 1 + 16 + 100 + 400 = 517 entries per lift: at a
+    # budget of 1033 a chunk takes one point, at 1034 two, and rows do not move
     rows = ancilla_rows(4, 70, 3)
     whole = ancilla_family(4, 1)
+    assert whole.lanes >= 13 * 25  # the packaged first round is one chunk
     expected = whole.scores(rows)
     projected = whole.feasible(rows)[1]
-    monkeypatch.setattr(focklift.fock, "MAX_BASIS_SIZE", 23)
-    family = ancilla_family(4, 1)
-    assert family.lanes == 1
-    lifted = []
-    monkeypatch.setattr(focklift.nogo, "lift_unitary",
-                        lambda v, *args, **kwargs: (lifted.append(len(v)),
-                                                    lift_unitary(v, *args, **kwargs))[1])
-    assert np.array_equal(family.scores(rows), expected)
-    assert np.array_equal(family.feasible(rows)[1], projected)
-    assert lifted == [1] * (2 * len(rows))
+    for budget, lanes in ((1033, 1), (1034, 2)):
+        monkeypatch.setattr(focklift.nogo, "_SCORE_ENTRIES", budget)
+        family = ancilla_family(4, 1)
+        assert family.lanes == lanes
+        sizes = {"lift_unitary": [], "exp_i_hermitian": []}
+        for name, seen in sizes.items():
+            monkeypatch.setattr(focklift.nogo, name, recording(getattr(focklift.nogo, name), seen))
+        assert np.array_equal(family.scores(rows), expected)
+        # each chunk of the generators takes its own exponential and lift
+        chunks = [min(lanes, len(rows) - a) for a in range(0, len(rows), lanes)]
+        assert sizes == {"lift_unitary": chunks, "exp_i_hermitian": chunks}
+        # feasible projects all its unitaries, then lifts them chunk by chunk
+        assert np.array_equal(family.feasible(rows)[1], projected)
+        assert sizes == {"lift_unitary": 2 * chunks, "exp_i_hermitian": chunks + [len(rows)]}
+        monkeypatch.undo()
+
+
+def recording(fn, seen):
+    """fn, appending the length of its first argument to seen at each call."""
+    def wrapper(v, *args, **kwargs):
+        seen.append(len(v))
+        return fn(v, *args, **kwargs)
+    return wrapper
 
 
 def _zero_measure(gate):
