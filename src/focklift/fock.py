@@ -11,8 +11,7 @@ the creation-operator recursion (Miatto & Quesada, Quantum 4, 366 (2020))
 
     phi(v)|n> = n_j^{-1/2} (sum_i v[i, j] a_i+) phi(v)|n - e_j>
 
-builds sector N from sector N - 1, so one pass from sector 1, a copy of v,
-yields every sector 0..N.
+builds sector N from sector N - 1, so one pass from sector 1 (v) yields sectors 0..N.
 The permanent formula is the test oracle; ``lift_via_substitution``
 recomputes the same action by substituting a_i+ -> sum_j v[j, i] a_j+ and
 expanding, the independent oracle for the orientation conventions above.
@@ -112,6 +111,11 @@ def _kept_entries(modes: int, photons: int) -> int:
     return sum(math.comb(n + modes - 1, modes - 1) ** 2 for n in range(photons + 1))
 
 
+def _entry_index(modes: int, photons: int, rows, cols):
+    """Where a lift's entries (sectors 0..N in turn, row-major) hold sector N's (rows, cols)."""
+    return _kept_entries(modes, photons - 1) + rows * len(basis_enumerate(modes, photons)) + cols
+
+
 def _check_lift_size(modes: int, photons: int) -> int:
     """Raise ResourceLimitError when a lift to N photons would keep more than
     MAX_BASIS_SIZE sectors or MAX_BASIS_SIZE**2 entries in all; else return
@@ -144,12 +148,12 @@ class LiftedUnitary:
 def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     """Tables that build the N-photon sector from the (N-1)-photon one.
 
-    Column n peels a photon off its first occupied mode j (``peel``) with
-    factor ``inv`` = 1/sqrt(n_j).  Row r adds it back from each mode i:
-    ``index[r, i, n]`` = where a lift's ``entries`` hold entry (r - e_i, n -
-    e_j) of sector N - 1, ``weight[r, 0, i]`` = sqrt(r_i) (0, row 0, when r_i
-    = 0; factors complex so no product casts).  O(D * M * D) entries, M per
-    lifted entry; read-only: callers share them.
+    Column n peels a photon off its first occupied mode j (``peel``), from
+    column ``parent`` = index of n - e_j, with factor ``inv`` = 1/sqrt(n_j).  Row
+    r adds it back from each mode i: a lift's ``entries`` hold row r - e_i of
+    sector N - 1 from ``above[r, i, 0]`` and ``weight[r, 0, i]`` = sqrt(r_i) (0,
+    row 0, when r_i = 0; factors complex so no product casts).  O(D * M)
+    entries, read-only: callers share them.
     """
     states = basis_enumerate(modes, photons).states
     below = basis_enumerate(modes, photons - 1)
@@ -158,9 +162,9 @@ def _recursion_tables(modes: int, photons: int) -> tuple[np.ndarray, ...]:
                         for i, k in enumerate(s)] for s in states], dtype=np.intp)
     rows = np.arange(len(states))
     peel = np.argmax(occ > 0, axis=1)
-    parent = _kept_entries(modes, photons - 2) + source[rows, peel]  # sector N - 1, column n - e_j
-    tables = (peel, (1.0 / np.sqrt(occ[rows, peel])).astype(complex),
-              source[:, :, None] * len(below) + parent, np.sqrt(occ)[:, None, :].astype(complex))
+    tables = (peel, source[rows, peel], (1.0 / np.sqrt(occ[rows, peel])).astype(complex),
+              _entry_index(modes, photons - 1, source[:, :, None], 0),
+              np.sqrt(occ)[:, None, :].astype(complex))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -201,16 +205,17 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
     # products are formed out of place (in place, numpy rounds another way),
     # so a lane meets the same kernels on the same strides at any width
     for n in range(2, photons + 1):
-        peel, inv, index, weight = _recursion_tables(modes, n)
+        peel, parent, inv, above, weight = _recursion_tables(modes, n)
         coeff = (vs.take(peel, axis=2) * inv)[:, np.newaxis]  # v[i, j] / sqrt(n_j), column n
-        d, at = len(peel), _kept_entries(modes, n - 1)
+        d, at = len(peel), _entry_index(modes, n, 0, 0)
         out = entries[:, at:at + d * d].reshape(lanes, d, 1, d)
         # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|sector n-1|n - e_j>,
         # as many rows at a time as keep the (lanes, rows, M, D) gather within one block
         step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
         for a in range(0, d, step):
             rows = slice(a, a + step)
-            np.matmul(weight[rows], entries.take(index[rows], axis=1) * coeff, out=out[:, rows])
+            gathered = entries.take(above[rows] + parent, axis=1)
+            np.matmul(weight[rows], gathered * coeff, out=out[:, rows])
         sectors.append(out.reshape(lanes, d, d))
     sectors = tuple(s[0] for s in sectors) if v.ndim == 2 else tuple(sectors)
     return LiftedUnitary(basis, sectors, entries[0] if v.ndim == 2 else entries)

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fock import _check_lift_size, _kept_entries, basis_enumerate, lift_unitary
+from .fock import _check_lift_size, _entry_index, basis_enumerate, lift_unitary
 from .linalg import _as_square, _finite, _integer, exp_i_hermitian, require_unitary
 from .modes import _reduce_angles
 from .singlerail import (_composite_gates, _couplings, _polar_blocks, entangling_measure,
@@ -177,12 +177,11 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
 # search configuration and results
 # ---------------------------------------------------------------------------
 
-# a config with more restarts is rejected before the search allocates them.  At
-# the cap a first round scores (n + 1) R points, 210 000 at M = 6 (n = 20), a later
-# one 4R or fewer; two-mode (n = 1) rounds of 40 000 points peak near 65 MB
+# a config with more restarts is rejected before the search allocates them.  At the
+# cap a first round scores (n + 1) R points, a later one 4R or fewer; an ancilla call
+# scores chunks whose lifts keep at most _SCORE_ENTRIES (4 MiB), so 210 000 points at
+# M = 6 (n = 20) peak near 10 MB; two-mode rounds of 40 000 points peak near 65 MB
 MAX_RESTARTS = 10_000
-# an ancilla objective call scores chunks whose lifts keep at most this many entries
-# (4 MiB): 210 000 points at M = 6 peak near 10 MB, packaged rounds stay one chunk
 _SCORE_ENTRIES = 1 << 18
 # more jobs are rejected before any process pool exists, which may start all
 # of its workers on the first task; fixed, so a command runs on every machine
@@ -273,8 +272,9 @@ class SearchResult:
     feasible: bool
     wall_time: float
 
-    def to_jsonable(self) -> dict:
-        return dict(vars(self))  # shallow: asdict's deep copy of the trace costs ms
+    def to_jsonable(self) -> dict:  # not asdict, whose deep copy costs ms; entries hold scalars
+        return dict(vars(self), best_parameters=list(self.best_parameters),
+                    restart_trace=[dict(entry) for entry in self.restart_trace])
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +584,21 @@ class _AncillaFamily:
         gen[q + 1, i, j], gen[q + 1, j, i] = 1j, -1j
         self.gen = gen.reshape(4 * m - 4, -1).view(float)
         ancilla = basis_enumerate(m - 2, k).states
-        # a lane's entries, gathered from its lift's: the 2 (M - 2) rail-ancilla
-        # entries of v, from starts[0] the top sector's computational <-> bunched
-        # entries and from starts[1] the output columns of the first four rail
-        # occupations, the computational inputs in gate column order; a row of
-        # ``blocks`` holds the (rails, ancilla state) positions of one input's rail
+        # a lane's entries: the 2 (M - 2) rail-ancilla entries of v, from starts[0] the top
+        # sector's computational <-> bunched entries and from starts[1] the output columns of
+        # the first four rail occupations, the computational inputs in gate column order; a
+        # row of ``blocks`` holds the (rails, ancilla state) positions of one input's rail
         # occupation, ``gate_at`` the flat gate entry of each computational row ``gate_rows``
-        gather = [1 + np.arange(2)[:, None] * m + np.arange(2, m),
-                  _kept_entries(m, k + 1) + np.flatnonzero(_coupling_mask(m, k + 2))]
+        gather = [_entry_index(m, 1, np.arange(2)[:, None], np.arange(2, m)),
+                  _entry_index(m, k + 2, *np.nonzero(_coupling_mask(m, k + 2)))]
         self.starts = (2 * (m - 2), 2 * (m - 2) + len(gather[1]))
         rails = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
         blocks, self.gate_rows, self.gate_at = [], [], []
         offset = self.starts[1]
         for c, n in enumerate(rails[:4]):
-            basis, end = basis_enumerate(m, sum(n) + k), _kept_entries(m, sum(n) + k)
-            d = len(basis)  # input n's output column, in the sector ending at ``end``
-            gather.append(end + basis.index(n + ancilla[0]) + d * np.arange(-d, 0))
+            basis = basis_enumerate(m, sum(n) + k)
+            d = len(basis)  # input n's output column
+            gather.append(_entry_index(m, sum(n) + k, np.arange(d), basis.index(n + ancilla[0])))
             for r in (r for r in rails if sum(r) == sum(n)):
                 if max(r) <= 1:
                     self.gate_rows.append(len(blocks))
@@ -622,14 +621,9 @@ class _AncillaFamily:
     def scores(self, xs: np.ndarray) -> np.ndarray:
         """(measure, constraint) rows of an (L, 4M - 4) stack of generators,
         each row bit for bit as for its point alone."""
-        return self.rows(xs, self.unitaries)
-
-    def rows(self, stack: np.ndarray, unitaries=np.asarray) -> np.ndarray:
-        """rate's score rows of the (L, M, M) mode unitaries that unitaries
-        makes of each ``lanes`` points of a stack (by default, the stack)."""
-        out = np.empty((len(stack), 2))
-        for a in range(0, len(stack), self.lanes):
-            out[a:a + self.lanes] = self.rate(unitaries(stack[a:a + self.lanes]))[0]
+        out = np.empty((len(xs), 2))
+        for a in range(0, len(xs), self.lanes):
+            out[a:a + self.lanes] = self.rate(self.unitaries(xs[a:a + self.lanes]))[0]
         return out
 
     def rate(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -667,8 +661,9 @@ class _AncillaFamily:
         return scores, gate
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        projected = np.array([_project_feasible(v) for v in self.unitaries(xs)])
-        return xs, self.rows(projected)
+        v = np.array([_project_feasible(v) for v in self.unitaries(xs)])
+        return xs, np.concatenate([self.rate(v[a:a + self.lanes])[0]
+                                   for a in range(0, len(v), self.lanes)])
 
 
 def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:

@@ -182,6 +182,23 @@ def test_lift_row_chunks_match_one_block(monkeypatch):
             assert np.max(np.abs(a - b)) < 1e-15
 
 
+def test_lift_entries_hold_each_sector_where_entry_index_says():
+    # the layout the lift writes and the ancilla scores read: sectors 0..N in
+    # turn, each row-major; the tables that build them stay O(D * M)
+    fock = importlib.import_module("focklift.fock")
+    v = np.array([haar_random_unitary(4, s) for s in (21, 22)])
+    lifted = lift_unitary(v, 3)
+    assert lifted.entries.shape == (2, fock._check_lift_size(4, 3))
+    for n, sector in enumerate(lifted.sectors):
+        assert np.shares_memory(sector, lifted.entries)
+        r, c = np.divmod(np.arange(sector[0].size), len(sector[0]))
+        at = fock._entry_index(4, n, r, c)
+        assert np.array_equal(lifted.entries.take(at, axis=1), sector.reshape(2, -1))
+    for n in range(2, 7):
+        d = len(basis_enumerate(5, n))
+        assert all(table.size <= 5 * d for table in fock._recursion_tables(5, n))
+
+
 def test_stacked_lift_equals_each_matrix_lifted_alone():
     rng = np.random.default_rng(19)
     for modes in range(1, 5):

@@ -2,7 +2,7 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -346,6 +346,21 @@ def test_search_result_timing_switch():
     assert result.to_jsonable()["wall_time"] == result.wall_time >= 0.0
 
 
+def test_search_report_is_a_copy_of_the_result():
+    # the report holds the result's fields, as dataclasses.asdict gives
+    # them, and editing its lists or trace entries leaves the result alone
+    cfg = SearchConfig(modes=3, restarts=2, max_iterations=40, seed=54)
+    result = nogo_search_ancilla(cfg)
+    body = result.to_jsonable()
+    assert body == asdict(result)
+    body["best_parameters"].append(0.0)
+    body["restart_trace"][0]["mu"] = -1.0
+    body["restart_trace"].clear()
+    assert result.to_jsonable() == asdict(result)
+    assert len(result.restart_trace) == 2 and result.restart_trace[0]["mu"] != -1.0
+    assert len(result.best_parameters) == 4 * 3 - 4
+
+
 @pytest.mark.parametrize("count, jobs, bounds", [
     (5, 1, [(0, 5)]),
     (5, 3, [(0, 1), (1, 3), (3, 5)]),
@@ -442,10 +457,10 @@ def test_ancilla_rows_have_a_gauge_on_the_output_ancillas(modes, ancilla_photons
     v = np.array([haar_random_unitary(modes, rng) for _ in range(20)])
     gauge = np.tile(np.eye(modes, dtype=complex), (20, 1, 1))
     gauge[:, 2:, 2:] = [haar_random_unitary(modes - 2, rng) for _ in range(20)]
-    rows = family.rows(v)
-    assert np.max(np.abs(family.rows(gauge @ v) - rows)) <= 1e-13
+    rows = family.rate(v)[0]
+    assert np.max(np.abs(family.rate(gauge @ v)[0] - rows)) <= 1e-13
     if modes > 3:
-        assert np.all(np.max(np.abs(family.rows(v @ gauge) - rows), axis=1) > 1e-3)
+        assert np.all(np.max(np.abs(family.rate(v @ gauge)[0] - rows), axis=1) > 1e-3)
 
 
 def full_generator_unitary(x):
