@@ -214,8 +214,8 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
         for a in range(0, d, step):
             rows = slice(a, a + step)
-            gathered = entries.take(above[rows] + parent, axis=1)
-            np.matmul(weight[rows], gathered * coeff, out=out[:, rows])
+            index = above[rows] + parent  # (r - e_i, n - e_j) of sector n - 1
+            np.matmul(weight[rows], entries.take(index, axis=1) * coeff, out=out[:, rows])
         sectors.append(out.reshape(lanes, d, d))
     sectors = tuple(s[0] for s in sectors) if v.ndim == 2 else tuple(sectors)
     return LiftedUnitary(basis, sectors, entries[0] if v.ndim == 2 else entries)
