@@ -272,7 +272,7 @@ class SearchResult:
     feasible: bool
     wall_time: float
 
-    def to_jsonable(self) -> dict:  # not asdict, whose deep copy costs ms; entries hold scalars
+    def to_jsonable(self) -> dict:  # asdict's deep copy costs ms; trace dicts hold only scalars
         return dict(vars(self), best_parameters=list(self.best_parameters),
                     restart_trace=[dict(entry) for entry in self.restart_trace])
 
@@ -661,9 +661,9 @@ class _AncillaFamily:
         return scores, gate
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = np.array([_project_feasible(v) for v in self.unitaries(xs)])
-        return xs, np.concatenate([self.rate(v[a:a + self.lanes])[0]
-                                   for a in range(0, len(v), self.lanes)])
+        projected = np.array([_project_feasible(v) for v in self.unitaries(xs)])
+        return xs, np.concatenate([self.rate(projected[a:a + self.lanes])[0]
+                                   for a in range(0, len(xs), self.lanes)])
 
 
 def nogo_search_ancilla(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
