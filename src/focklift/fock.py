@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import _as_square, _integer, require_unitary
+from .linalg import _as_square, _finite_complex, _integer, require_unitary
 
 __all__ = [
     "FockBasis",
@@ -199,7 +199,7 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
     entries[:, 0] = 1.0
     sectors = [entries[:, :1].reshape(lanes, 1, 1)]
     if photons:  # sector 1 is a copy of v itself
-        entries[:, 1:modes * modes + 1] = vs.reshape(lanes, -1)
+        entries[:, 1:modes * modes + 1] = vs.reshape(lanes, modes * modes)
         sectors.append(entries[:, 1:modes * modes + 1].reshape(lanes, modes, modes))
     # gathers use take (fancy indexing may put the lane axis innermost) and
     # products are formed out of place (in place, numpy rounds another way),
@@ -211,7 +211,7 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
         out = entries[:, at:at + d * d].reshape(lanes, d, 1, d)
         # row r, column n: sum_i sqrt(r_i) v[i, j] / sqrt(n_j) <r - e_i|sector n-1|n - e_j>,
         # as many rows at a time as keep the (lanes, rows, M, D) gather within one block
-        step = max(1, _BLOCK_ENTRIES // (lanes * modes * d))
+        step = max(1, _BLOCK_ENTRIES // (max(lanes, 1) * modes * d))
         for a in range(0, d, step):
             rows = slice(a, a + step)
             index = above[rows] + parent  # (r - e_i, n - e_j) of sector n - 1
@@ -238,14 +238,13 @@ class OccupationPolynomial:
     def __init__(self, modes: int, terms: dict[tuple[int, ...], complex] | None = None):
         self.modes = modes
         self.terms: dict[tuple[int, ...], complex] = {}
-        if terms:
-            for m, c in terms.items():
-                if len(m) != modes:
-                    raise InvalidInputError(f"term {m} does not have {modes} modes")
-                if any(k < 0 for k in m):
-                    raise InvalidInputError(f"term {m} has a negative exponent")
-                if c != 0:
-                    self.terms[tuple(int(k) for k in m)] = complex(c)
+        for m, c in (terms or {}).items():
+            m, c = tuple(_integer(k, "exponent", 0) for k in m), _finite_complex(c, "coefficient")
+            if len(m) != modes:
+                raise InvalidInputError(f"term {m} does not have {modes} modes")
+            _integer(sum(m), "photon number", 0, 170)  # 170! is the largest factorial a float holds
+            if c != 0:
+                self.terms[m] = c
 
     def prune(self) -> "OccupationPolynomial":
         self.terms = {m: c for m, c in self.terms.items() if abs(c) > PRUNE_EPS}
@@ -254,9 +253,10 @@ class OccupationPolynomial:
 
 def basis_monomial(state: tuple[int, ...]) -> OccupationPolynomial:
     """Normalized Fock basis state |n> as an occupation polynomial."""
-    state = tuple(int(k) for k in state)
-    coeff = 1.0 / math.sqrt(math.prod(math.factorial(k) for k in state))
-    return OccupationPolynomial(len(state), {state: coeff})
+    poly = OccupationPolynomial(len(state), {tuple(state): 1.0})
+    (state,) = poly.terms  # as the constructor read it
+    poly.terms[state] = complex(1.0 / math.sqrt(math.prod(math.factorial(k) for k in state)))
+    return poly
 
 
 def lift_via_substitution(v: np.ndarray, poly: OccupationPolynomial) -> OccupationPolynomial:
@@ -294,6 +294,8 @@ def poly_to_vector(poly: OccupationPolynomial, basis: FockBasis) -> np.ndarray:
     <m| prod (a_i+)^(m_i) |vac> = sqrt(prod m_i!), so each coefficient picks
     up the monomial norm.  Terms outside the sector raise InvalidInputError.
     """
+    if poly.modes != basis.modes:
+        raise InvalidInputError(f"polynomial has {poly.modes} modes, basis has {basis.modes}")
     vec = np.zeros(len(basis), dtype=complex)
     for m, c in poly.terms.items():
         if sum(m) != basis.photons:

@@ -4,8 +4,9 @@ package's input readers.
 Thin, contract-checked wrappers around numpy.linalg plus a seeded Haar
 sampler.  Everything in here operates on plain complex ndarrays; callers
 own the physical interpretation.  Every matrix, count and finite number
-that enters the package passes one of ``_as_square``, ``_integer`` and
-``_finite``, which turn what they cannot read into InvalidInputError.
+that enters the package passes one of ``_as_square``, ``_integer``,
+``_finite`` and ``_finite_complex``, which turn what they cannot read into
+InvalidInputError.
 """
 from __future__ import annotations
 
@@ -65,6 +66,13 @@ def _finite(value, name: str) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+
+
+def _finite_complex(value, name: str) -> complex:
+    """value as a complex when it is a finite complex number (not a bool)."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        return complex(_finite(value.real, name), _finite(value.imag, name))
+    raise InvalidInputError(f"{name} must be a finite complex number, got {value!r}")
 
 
 def _within(m: np.ndarray, dev: np.ndarray, tol: float, name: str, what: str) -> np.ndarray:

@@ -45,7 +45,7 @@ from .errors import InvalidInputError
 from .fock import _check_lift_size, _entry_index, basis_enumerate, lift_unitary
 from .linalg import _as_square, _finite, _integer, exp_i_hermitian, require_unitary
 from .modes import _reduce_angles
-from .singlerail import (_composite_gates, _couplings, _polar_blocks, entangling_measure,
+from .singlerail import (_couplings, _mixer_gates, _polar_blocks, entangling_measure,
                          nearest_unitary_block)
 
 __all__ = [
@@ -228,6 +228,8 @@ class SearchConfig:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "SearchConfig":
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"search config is a {type(data).__name__}, not a JSON object")
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         unknown = set(data) - set(cls.__dataclass_fields__) - {"mode"}
         if unknown:
@@ -465,18 +467,6 @@ def _search(family, cfg: SearchConfig, jobs: int) -> SearchResult:
 # two-mode search
 # ---------------------------------------------------------------------------
 
-def _composite_scores(angles: np.ndarray) -> np.ndarray:
-    """(measure, leakage) rows of an (L, 5) stack of composite-gate angles
-    (alpha, beta, gamma, delta, epsilon), each row as the single-gate
-    functions give it for its gate alone."""
-    gates = _composite_gates(_reduce_angles(angles))
-    scores = np.empty((len(angles), 2))
-    # read at call time from this module; a replacement may return a scalar
-    scores[:, 0] = entangling_measure(nearest_unitary_block(gates))
-    scores[:, 1] = _couplings(gates)[1]
-    return scores
-
-
 class _TwoModeFamily:
     """The mixing angle epsilon alone.  The four phases are single-qubit
     gates on either side of the mixer, so they move neither the measure nor
@@ -494,10 +484,14 @@ class _TwoModeFamily:
         return np.array([eps])
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
-        """(measure, leakage) rows of an (L, 1) stack of mixing angles."""
-        angles = np.zeros((len(xs), 5))
-        angles[:, 4] = xs[:, 0]
-        return _composite_scores(angles)
+        """(measure, leakage) rows of an (L, 1) stack of mixing angles, each
+        as the single-gate functions give it for its gate at zero phases."""
+        gates = _mixer_gates(_reduce_angles(xs[:, 0]))
+        scores = np.empty((len(xs), 2))
+        # read at call time from this module; a replacement may return a scalar
+        scores[:, 0] = entangling_measure(nearest_unitary_block(gates))
+        scores[:, 1] = _couplings(gates)[1]
+        return scores
 
     def feasible(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         snapped = np.array([[round(e / (math.pi / 2.0)) * (math.pi / 2.0)] for e in xs[:, 0]])

@@ -7,9 +7,10 @@ basis order
 
 (first four: computational occupations, last two: bunched).  The composite
 gate phases(alpha,beta) . mix(eps) . phases(gamma,delta) is block diagonal
-over photon number; its closed form, leakage into the bunched pair, the
-exactly decoupled families at eps = k*pi/2, and the operator-Schmidt
-entangling measure live here.
+over photon number.  Its phases are single-qubit gates, so the two-mode
+search and the sweep score stacks of the mixer alone.  The closed form,
+leakage into the bunched pair, the exactly decoupled families at
+eps = k*pi/2, and the operator-Schmidt entangling measure live here.
 
 Qubit convention for extracted 4 x 4 gates: index = 2*n1 + n2, i.e. qubit 1
 is mode 1 and occupies the first tensor slot.
@@ -72,47 +73,38 @@ _MEASURE_AT = np.array([0, 0, 5, 9, 10, 6, 15, 15, *_OFF_BLOCK])
 _COF_SIGN = np.array([[1], [-1], [-1], [1]], dtype=complex)
 
 
-# the composite gate's 13 phase entries as flat indices 6 * row + column,
-# grouped by the steps after their phase (i e^{i.} s, i e^{i.} s2 / sqrt2,
-# e^{i.} c or c2, e^{2i.} c c, -e^{2i.} s s); entry k's phase is i or 2i times
-# the left-to-right sum of (a, b, g, d, 2a, 2b, 2g, 2d, 0) at _PHASE_TERMS[:, k]
-_GATE_ENTRIES = np.array([(1, 2), (2, 1), (3, 4), (3, 5), (4, 3), (5, 3), (1, 1), (2, 2),
-                          (3, 3), (4, 4), (5, 5), (4, 5), (5, 4)]) @ (6, 1)
-_PHASE_TERMS = np.array([(0, 3, 8, 8), (1, 2, 8, 8), (0, 1, 6, 8), (0, 1, 7, 8), (4, 2, 3, 8),
-                         (5, 2, 3, 8), (0, 2, 8, 8), (1, 3, 8, 8), (0, 1, 2, 3), (0, 2, 8, 8),
-                         (1, 3, 8, 8), (0, 3, 8, 8), (1, 2, 8, 8)]).T
-_PHASE_UNITS = np.array([1j] * 9 + [2j] * 4)[:, np.newaxis]
-
-
 def composite_gate_fock(params: CompositeGateParams) -> np.ndarray:
-    """Closed-form 6 x 6 Fock matrix of the composite gate.
-
-    Sector blocks: scalar 1 on the vacuum; on one photon
+    """Closed-form 6 x 6 Fock matrix of the composite gate, phases . mixer .
+    phases: the Fock matrix of beam_splitter(eps) between the phase diagonals
+    D(a, b) and D(g, d).  On one photon
         [[e^{i(a+g)} c,  i e^{i(a+d)} s], [i e^{i(b+g)} s,  e^{i(b+d)} c]]
     with c = cos(eps), s = sin(eps); on two photons the double-angle block
     whose |11> <-> bunched couplings carry i*sin(2 eps)/sqrt(2).  Equals the
-    permanent lift of the mode matrix entrywise.
+    permanent lift of the mode matrix entrywise.  Search and sweep score the
+    mixer stack alone: the phases are a gauge.
     """
-    return _composite_gates(np.array([params.as_tuple()]))[0]
+    a, b, g, d, eps = params.as_tuple()
+    return _phases(a, b)[:, np.newaxis] * _mixer_gates(np.array([eps]))[0] * _phases(g, d)
 
 
-def _composite_gates(angles: np.ndarray) -> np.ndarray:
-    """(L, 6, 6) composite gates of an (L, 5) stack of angles (alpha, beta,
-    gamma, delta, epsilon) in the range CompositeGateParams reduces to.
-    Each entry takes the floating-point steps of the closed form above."""
-    s, c = exact_sin_cos(angles[:, 4])
-    # double angles as products so quarter-turn zeros stay literal
-    s2, c2 = 2.0 * s * c, c * c - s * s
-    terms = np.concatenate([angles.T[:4], 2 * angles.T[:4], np.zeros((1, len(angles)))])
-    z = np.exp(_PHASE_UNITS * np.add.reduce(terms[_PHASE_TERMS], axis=0))
-    z[:6] *= 1j
-    np.negative(z[11:], out=z[11:])
-    z *= np.array([s, s, s2, s2, s2, s2, c, c, c2, c, c, s, s])
-    z[2:6] /= math.sqrt(2)
-    z[9:] *= np.array([c, c, s, s])
-    u = np.zeros((len(angles), 6, 6), dtype=complex)
+def _phases(x: float, y: float) -> np.ndarray:
+    """Diagonal of the Fock matrix of the mode phases diag(e^{ix}, e^{iy})."""
+    return np.exp(1j * np.array([0.0, x, y, x + y, 2.0 * x, 2.0 * y]))
+
+
+def _mixer_gates(eps: np.ndarray) -> np.ndarray:
+    """(L, 6, 6) Fock matrices of beam_splitter(eps) for an (L,) stack of
+    mixing angles in (-pi, pi], each as for its angle alone."""
+    s, c = exact_sin_cos(eps)
+    u = np.zeros((len(eps), 6, 6), dtype=complex)
     u[:, 0, 0] = 1.0
-    u.reshape(-1, 36)[:, _GATE_ENTRIES] = z.T
+    u[:, 1, 1] = u[:, 2, 2] = c
+    u[:, 1, 2] = u[:, 2, 1] = 1j * s
+    # double angles as products so quarter-turn zeros stay literal
+    u[:, 3, 3] = c * c - s * s
+    u[:, 4, 4] = u[:, 5, 5] = c * c
+    u[:, 4, 5] = u[:, 5, 4] = -(s * s)
+    u[:, _LEAK_ROWS, _LEAK_COLS] = (1j * (2.0 * s * c) / math.sqrt(2))[:, np.newaxis]
     return u
 
 

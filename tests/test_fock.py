@@ -222,6 +222,20 @@ def test_stacked_lift_fails_closed_on_one_non_unitary_member():
             lift_unitary(bad, 2, check=False)
 
 
+def test_empty_stack_lifts_to_empty_sectors():
+    # as exp_i_hermitian, computational_block and entangling_measure do, a
+    # (0, M, M) stack gives (0, D, D) sectors and (0, kept) entries
+    for modes in range(1, 4):
+        for photons in range(4):
+            for check in (True, False):
+                lifted = lift_unitary(np.zeros((0, modes, modes)), photons, check=check)
+                assert lifted.basis == basis_enumerate(modes, photons)
+                assert [s.shape for s in lifted.sectors] == [
+                    (0, len(basis_enumerate(modes, n)), len(basis_enumerate(modes, n)))
+                    for n in range(photons + 1)]
+                assert lifted.entries.shape == (0, sum(s.shape[1] ** 2 for s in lifted.sectors))
+
+
 def test_oversize_lift_fails_before_building_anything(monkeypatch):
     fock = importlib.import_module("focklift.fock")
     monkeypatch.setattr(fock, "MAX_BASIS_SIZE", 8)
@@ -260,6 +274,21 @@ def test_polynomial_validation():
         OccupationPolynomial(2, {(1, 1, 0): 1.0})
     with pytest.raises(InvalidInputError):
         OccupationPolynomial(2, {(1, -1): 1.0})
+    # each was once truncated to (1, 0), kept as a NaN amplitude or, at 200
+    # photons, sent poly_to_vector into math's OverflowError
+    for terms in ({(1.5, 0): 1.0}, {(True, 0): 1.0}, {(1, 0): math.nan}, {(200, 0): 1.0},
+                  {(1, 0): complex(0.0, math.inf)}, {(1, 0): True}, {(1, 0): "1"}):
+        with pytest.raises(InvalidInputError):
+            OccupationPolynomial(2, terms)
+    assert OccupationPolynomial(2, {(np.int64(1), 0): np.complex128(0.5j)}).terms == {(1, 0): 0.5j}
+
+
+def test_basis_monomial_reads_occupations():
+    # each was once read as (1, 0), or raised math's ValueError or OverflowError
+    for state in ((1.5, 0), (True, 0), (-1, 0), (10 ** 6, 0), (100, 71)):
+        with pytest.raises(InvalidInputError):
+            basis_monomial(state)
+    assert basis_monomial((170, 0)).terms[(170, 0)] == 1.0 / math.sqrt(math.factorial(170))
 
 
 def test_poly_to_vector_unit_and_sector_mismatch():
@@ -270,6 +299,8 @@ def test_poly_to_vector_unit_and_sector_mismatch():
     assert np.array_equal(vec, expect)
     with pytest.raises(InvalidInputError):
         poly_to_vector(basis_monomial((1, 0)), basis)
+    with pytest.raises(InvalidInputError, match="modes"):  # once a KeyError
+        poly_to_vector(basis_monomial((1, 1, 0)), basis)
 
 
 def test_substitution_validates_shape():

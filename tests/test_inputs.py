@@ -1,16 +1,17 @@
 """Every public matrix entry point reads its argument through one reader,
 ``linalg._as_square``: an input it cannot read, of the wrong shape, or with
 a non-finite entry ends in a package error, never in numpy's own exception
-or a NaN result."""
+or a NaN result; an accepted stack, empty ones too, gives one result per
+member."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focklift.errors import InvalidInputError, LeakyGateError, ResourceLimitError
-from focklift.fock import basis_monomial, lift_unitary, lift_via_substitution
+from focklift.fock import basis_monomial, lift_unitary, lift_via_substitution, LiftedUnitary
 from focklift.linalg import exp_i_hermitian
 from focklift.modes import reck_decompose
 from focklift.nogo import block_diagonality_defect, block_lemma_check, dont_cause_errors_residuals
@@ -64,12 +65,22 @@ ENTRY_POOLS = [CLEAN, st.one_of(CLEAN, NON_FINITE), st.one_of(CLEAN, NON_FINITE,
 
 @st.composite
 def matrix_like(draw):
-    """A square matrix or a stack of them, with entries from one pool, or
-    any nesting of lists."""
-    if draw(st.integers(0, 3)) == 0:
+    """A square matrix or a stack of them, with entries from one pool; an
+    array stack that is empty or has exactly one non-finite member; or any
+    nesting of lists."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
         return draw(st.recursive(st.one_of(CLEAN, NON_FINITE, ODD),
                                  lambda inner: st.lists(inner, max_size=4), max_leaves=20))
     side = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    if kind == 1:  # an array: numpy reads an empty list as shape (0,)
+        return np.zeros((0, side, side), dtype=draw(st.sampled_from([float, complex])))
+    if kind == 2:
+        lanes = draw(st.integers(1, 3))
+        stack = np.array(draw(st.lists(CLEAN, min_size=lanes * side * side,
+                                       max_size=lanes * side * side)), dtype=complex)
+        stack[draw(st.integers(0, len(stack) - 1))] = draw(NON_FINITE)
+        return stack.reshape(lanes, side, side)
     entries = draw(st.sampled_from(ENTRY_POOLS))
     square = st.lists(st.lists(entries, min_size=side, max_size=side),
                       min_size=side, max_size=side)
@@ -79,9 +90,16 @@ def matrix_like(draw):
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(m=matrix_like())
+@example(m=np.zeros((0, 2, 2)))
+@example(m=np.zeros((0, 4, 4)))
+@example(m=np.zeros((0, 6, 6)))
 def test_matrix_entry_points_fail_closed_or_accept_finite_input(name, m):
     try:
-        ENTRY_POINTS[name](m)
+        result = ENTRY_POINTS[name](m)
     except PACKAGE_ERRORS:
         return
-    assert np.isfinite(np.asarray(m, dtype=complex)).all()
+    m = np.asarray(m, dtype=complex)
+    assert np.isfinite(m).all()
+    if m.ndim == 3:  # a stack gives one result per member, or none for none
+        held = [*result.sectors, result.entries] if isinstance(result, LiftedUnitary) else [result]
+        assert all(np.shape(a)[:1] == (len(m),) for a in held)

@@ -16,7 +16,6 @@ from focklift.linalg import exp_i_hermitian, haar_random_unitary
 from focklift.modes import beam_splitter, composite_gate_mode_matrix, CompositeGateParams
 from focklift.nogo import (
     _AncillaFamily,
-    _composite_scores,
     _coupling_mask,
     _penalty_levels,
     _project_feasible,
@@ -254,6 +253,10 @@ def test_config_json_round_trip():
     SearchConfig.from_jsonable({"mode": "ancilla", "modes": 3})
     with pytest.raises(InvalidInputError):
         SearchConfig.from_jsonable({"modes": 3, "restart": 5})
+    # a config that is not a JSON object once raised a TypeError
+    for data in (None, [1], "two_mode", 3):
+        with pytest.raises(InvalidInputError, match="not a JSON object"):
+            SearchConfig.from_jsonable(data)
 
 
 def test_penalty_ladder():
@@ -888,27 +891,30 @@ def two_mode_rows(seed, count):
 
 def test_two_mode_stack_scores_each_row_as_its_gate_alone():
     # (measure, leakage) per row recorded from the single-gate path before
-    # the two-mode objective was stacked
+    # the two-mode objective was stacked; the phased rows still score so
+    # through the composite gate, and the family's one stack of their mixing
+    # angles scores each as its gate alone at zero phases
     golden = json.loads((Path(__file__).with_name("two_mode_golden.json")).read_text())
     rows = two_mode_rows(golden["seed"], golden["random_rows"])
-    stacked = _composite_scores(rows)
+    family = _TwoModeFamily()
+    stacked = family.scores(rows[:, 4:])
     assert len(stacked) == len(golden["measure"]) == len(golden["leakage"])
     for row, scores, ref_measure, ref_leakage in zip(
             rows, stacked, golden["measure"], golden["leakage"]):
-        measure, leak = scores
-        assert tuple(_composite_scores(row[np.newaxis])[0]) == (measure, leak)
-        assert _two_mode_point_eval(row) == (measure, leak)
+        measure, leak = _two_mode_point_eval(row)
         assert abs(measure - ref_measure) <= 1e-15
         assert abs(leak - ref_leakage) <= 1e-15
+        assert tuple(family.scores(row[np.newaxis, 4:])[0]) == tuple(scores)
+        assert _two_mode_point_eval((0.0, 0.0, 0.0, 0.0, row[4])) == tuple(scores)
 
 
 def test_two_mode_stack_reduces_angles_as_the_single_gate_does():
-    # angles beyond (-pi, pi] and off the quarter-turn lattice: the stack
-    # must reduce them as CompositeGateParams does, row by row
+    # mixing angles beyond (-pi, pi] and off the quarter-turn lattice: the
+    # stack must reduce them as CompositeGateParams does, row by row
     rng = np.random.default_rng(77)
-    rows = rng.choice([-1.0, 1.0], (64, 5)) * rng.uniform(math.pi + 0.01, 40.0, (64, 5))
-    for row, scores in zip(rows, _composite_scores(rows)):
-        assert tuple(scores) == _two_mode_point_eval(row)
+    eps = rng.choice([-1.0, 1.0], (64, 1)) * rng.uniform(math.pi + 0.01, 40.0, (64, 1))
+    for e, scores in zip(eps[:, 0], _TwoModeFamily().scores(eps)):
+        assert tuple(scores) == _two_mode_point_eval((0.0, 0.0, 0.0, 0.0, e))
 
 
 def test_two_mode_scores_follow_the_closed_form_tradeoff():
@@ -918,7 +924,7 @@ def test_two_mode_scores_follow_the_closed_form_tradeoff():
     xs = np.random.default_rng(39).uniform(-math.pi, math.pi, (4000, 5))
     d = np.abs([math.remainder(eps, math.pi / 2) for eps in xs[:, 4]])
     law = np.column_stack([1.0 - np.cos(d / 2) ** 4, math.sqrt(2) * np.sin(2 * d)])
-    phased = _composite_scores(xs)
+    phased = np.array([_two_mode_point_eval(row) for row in xs])
     zero_phase = _TwoModeFamily().scores(xs[:, 4:])
     for scores in (phased, zero_phase):
         assert np.max(np.abs(scores - law)) <= 2e-15

@@ -7,6 +7,7 @@ from focklift.errors import InvalidInputError, LeakyGateError
 from focklift.linalg import _as_square, haar_random_unitary, require_unitary
 from focklift.modes import composite_gate_mode_matrix, CompositeGateParams
 from focklift.singlerail import (
+    _phases,
     _RESHUFFLES,
     BASIS_SIX,
     assemble_from_mode_matrix,
@@ -57,6 +58,16 @@ def test_closed_form_matches_lifted_gate():
         lifted = assemble_from_mode_matrix(composite_gate_mode_matrix(p))
         worst = max(worst, float(np.max(np.abs(closed - lifted))))
     assert worst < 1e-12
+
+
+def test_phase_diagonal_is_the_lift_of_the_mode_phases():
+    # the composite gate is D(a, b)[:, None] * mixer * D(g, d): D must be
+    # the Fock matrix of diag(e^{ix}, e^{iy}), which is diagonal
+    rng = np.random.default_rng(29)
+    for x, y in [*rng.uniform(-math.pi, math.pi, (50, 2)), (0.0, 0.0), (math.pi, -math.pi)]:
+        lifted = assemble_from_mode_matrix(np.diag([np.exp(1j * x), np.exp(1j * y)]))
+        assert np.count_nonzero(lifted - np.diag(np.diagonal(lifted))) == 0
+        assert np.max(np.abs(_phases(x, y) - np.diagonal(lifted))) <= 1e-15
 
 
 def test_gate_is_unitary_and_vacuum_preserving():
