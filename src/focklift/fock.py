@@ -225,6 +225,14 @@ def lift_unitary(v: np.ndarray, photons: int, check: bool = True) -> LiftedUnita
 # substitution oracle
 # ---------------------------------------------------------------------------
 
+def _state_tuple(state) -> tuple[int, ...]:
+    """state as a tuple of non-negative ints; anything else fails closed."""
+    try:
+        return tuple(_integer(k, "exponent", 0) for k in state)
+    except TypeError:  # not iterable
+        raise InvalidInputError(f"occupations must be a sequence of integers, got {state!r}") from None
+
+
 class OccupationPolynomial:
     """Polynomial in creation operators applied to the vacuum.
 
@@ -236,10 +244,10 @@ class OccupationPolynomial:
     __slots__ = ("modes", "terms")
 
     def __init__(self, modes: int, terms: dict[tuple[int, ...], complex] | None = None):
-        self.modes = modes
+        self.modes = _integer(modes, "modes", 1)
         self.terms: dict[tuple[int, ...], complex] = {}
         for m, c in (terms or {}).items():
-            m, c = tuple(_integer(k, "exponent", 0) for k in m), _finite_complex(c, "coefficient")
+            m, c = _state_tuple(m), _finite_complex(c, "coefficient")
             if len(m) != modes:
                 raise InvalidInputError(f"term {m} does not have {modes} modes")
             _integer(sum(m), "photon number", 0, 170)  # 170! is the largest factorial a float holds
@@ -253,8 +261,8 @@ class OccupationPolynomial:
 
 def basis_monomial(state: tuple[int, ...]) -> OccupationPolynomial:
     """Normalized Fock basis state |n> as an occupation polynomial."""
-    poly = OccupationPolynomial(len(state), {tuple(state): 1.0})
-    (state,) = poly.terms  # as the constructor read it
+    state = _state_tuple(state)
+    poly = OccupationPolynomial(len(state), {state: 1.0})
     poly.terms[state] = complex(1.0 / math.sqrt(math.prod(math.factorial(k) for k in state)))
     return poly
 

@@ -65,6 +65,13 @@ __all__ = [
 # subspace partition and structural checks
 # ---------------------------------------------------------------------------
 
+def _bunched(modes: int, photons: int) -> np.ndarray:
+    """(D,) mask of the states of basis_enumerate(modes, photons) with two or
+    more photons on a rail, max(n1, n2) >= 2."""
+    states = np.array(basis_enumerate(_integer(modes, "modes", 2), photons).states)
+    return states[:, :2].max(axis=1) >= 2
+
+
 def bunched_partition(modes: int, photons: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split the N-photon basis into computational and bunched index sets.
 
@@ -73,27 +80,25 @@ def bunched_partition(modes: int, photons: int) -> tuple[tuple[int, ...], tuple[
     occupations are unrestricted.  Returns (computational, bunched) index
     tuples into basis_enumerate(modes, photons).states.
     """
-    basis = basis_enumerate(_integer(modes, "modes", 2), photons)
-    comp, bunch = [], []
-    for i, s in enumerate(basis.states):
-        (bunch if max(s[0], s[1]) >= 2 else comp).append(i)
-    return tuple(comp), tuple(bunch)
+    bunched = _bunched(modes, photons)
+    return tuple(np.flatnonzero(~bunched).tolist()), tuple(np.flatnonzero(bunched).tolist())
 
 
 def _coupling_mask(modes: int, photons: int) -> np.ndarray:
     """(D, D) mask of the computational <-> bunched entries of a sector."""
-    bunched = np.zeros(len(basis_enumerate(modes, photons)), dtype=bool)
-    bunched[list(bunched_partition(modes, photons)[1])] = True
+    bunched = _bunched(modes, photons)
     return bunched[:, None] != bunched[None, :]
+
+
+def _off_block_norms(v: np.ndarray, split) -> tuple[float, float]:
+    """Frobenius norms of the upper-right and lower-left blocks of v at the split."""
+    split = _integer(split, "split", 1, v.shape[0] - 1)
+    return float(np.linalg.norm(v[:split, split:])), float(np.linalg.norm(v[split:, :split]))
 
 
 def block_diagonality_defect(v: np.ndarray, split: int = 2) -> float:
     """Frobenius weight of both off-diagonal blocks of v at the given split."""
-    v = _as_square(v, "matrix")
-    split = _integer(split, "split", 1, v.shape[0] - 1)
-    ur = v[:split, split:]
-    ll = v[split:, :split]
-    return math.sqrt(float(np.sum(np.abs(ur) ** 2) + np.sum(np.abs(ll) ** 2)))
+    return math.hypot(*_off_block_norms(_as_square(v, "matrix"), split))
 
 
 def block_lemma_check(v: np.ndarray, split: int = 2) -> float:
@@ -103,11 +108,8 @@ def block_lemma_check(v: np.ndarray, split: int = 2) -> float:
     together, so the gap vanishes identically; in particular a unitary with
     a zero lower-left block has a zero upper-right block.
     """
-    v = require_unitary(v, name="mode matrix")
-    split = _integer(split, "split", 1, v.shape[0] - 1)
-    ur = float(np.linalg.norm(v[:split, split:]))
-    ll = float(np.linalg.norm(v[split:, :split]))
-    return abs(ur - ll)
+    upper, lower = _off_block_norms(require_unitary(v, name="mode matrix"), split)
+    return abs(upper - lower)
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,7 @@ class AncillaCheckReport:
     lemma_gap: float
 
     def max_residual(self) -> float:
-        vals = [abs(z) for z in self.residuals_first + self.residuals_second]
-        return max(vals) if vals else 0.0
+        return max(map(abs, self.residuals_first + self.residuals_second), default=0.0)
 
 
 def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
@@ -142,35 +143,19 @@ def dont_cause_errors_residuals(v: np.ndarray) -> AncillaCheckReport:
     Block-diagonal v gives identically zero residuals.
     """
     v = require_unitary(v, name="mode matrix")
-    m = v.shape[0]
-    if m < 3:
-        raise InvalidInputError(f"residuals need at least one ancilla mode, got M={m}")
+    if len(v) < 3:
+        raise InvalidInputError(f"residuals need at least one ancilla mode, got M={len(v)}")
     lifted = lift_unitary(v, 2, check=False)
-    basis = lifted.basis
-    idx_two = [basis.index(tuple(2 if j == mode else 0 for j in range(m))) for mode in range(m)]
-    r1, r2, c1, c2 = [], [], [], []
-    worst = 0.0
-    for i in range(2, m):
-        lift_1 = 2.0 * lifted.matrix[idx_two[0], idx_two[i]]
-        lift_2 = 2.0 * lifted.matrix[idx_two[1], idx_two[i]]
-        closed_1 = 2.0 * v[0, i] ** 2
-        closed_2 = 2.0 * v[1, i] ** 2
-        worst = max(worst, abs(lift_1 - closed_1), abs(lift_2 - closed_2))
-        r1.append(complex(lift_1))
-        r2.append(complex(lift_2))
-        c1.append(complex(closed_1))
-        c2.append(complex(closed_2))
+    two = np.nonzero(np.array(lifted.basis.states) == 2)[0]  # |2_j>, j = 0..M-1 in turn
+    routes = 2.0 * lifted.matrix[np.ix_(two[:2], two[2:])]
+    # np.power and np.hypot round as numpy's scalar z ** 2 and abs(z) do
+    closed = 2.0 * np.power(v[:2, 2:], 2)
+    gap = routes - closed
+    worst = float(np.hypot(gap.real, gap.imag).max())
     if worst > 1e-10:
         raise RuntimeError(f"residual routes disagree by {worst:.3e}; lift kernel is broken")
-    return AncillaCheckReport(
-        residuals_first=tuple(r1),
-        residuals_second=tuple(r2),
-        closed_first=tuple(c1),
-        closed_second=tuple(c2),
-        max_route_deviation=worst,
-        block_defect=block_diagonality_defect(v, 2),
-        lemma_gap=block_lemma_check(v, 2),
-    )
+    return AncillaCheckReport(*(tuple(row.tolist()) for row in (*routes, *closed)), worst,
+                              block_diagonality_defect(v, 2), block_lemma_check(v, 2))
 
 
 # ---------------------------------------------------------------------------

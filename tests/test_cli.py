@@ -395,6 +395,30 @@ def test_unread_flag_is_usage_error(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, file, code, line", [
+    pytest.param(["sweep", "--grid", "1:2", "--out", "FILE.csv"], None, EXIT_USAGE,
+                 "error: grid range must be start:stop:count, got '1:2'", id="two-part-grid"),
+    pytest.param(["lift", "--photons", "1", "--input", "FILE"], None, EXIT_IO,
+                 "I/O error: cannot read matrix file 'FILE'", id="unreadable-input"),
+    pytest.param(["netlist", "--input", "FILE"], {"foo": 1}, EXIT_USAGE,
+                 "error: matrix file 'FILE' holds no matrix", id="matrix-file-without-matrix"),
+    pytest.param(["nogo", "--config", "FILE"], [1, 2], EXIT_USAGE,
+                 "error: config FILE must be a JSON object", id="config-list"),
+    pytest.param(["nogo", "--config", "FILE"], {"mode": "bogus"}, EXIT_USAGE,
+                 "error: unknown search mode 'bogus' (two_mode or ancilla)", id="config-mode"),
+])
+def test_each_input_error_exits_with_its_error_line(tmp_path, argv, file, code, line):
+    # FILE names a path in tmp_path, written with the JSON of file unless it is None
+    path = tmp_path / "in.json"
+    if file is not None:
+        path.write_text(json.dumps(file))
+    argv = [a.replace("FILE", str(path)) for a in argv]
+    got, err = run_err(*argv)
+    assert got == code
+    assert err.startswith(line.replace("FILE", str(path))), err
+    assert list(tmp_path.iterdir()) == ([path] if file is not None else [])
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

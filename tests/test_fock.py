@@ -146,6 +146,60 @@ def test_lift_matches_substitution_oracle():
             assert np.max(np.abs(col - lifted.matrix[:, j])) < 1e-12
 
 
+def test_substitution_skips_the_zero_entries_of_a_mode_permutation():
+    # swapping modes 0 and 2 sends each a_0+ to a_2+ and keeps a_1+: a
+    # single term, its coefficient only multiplied by exact ones
+    swap = np.eye(3)[[2, 1, 0]]
+    poly = lift_via_substitution(swap, basis_monomial((2, 1, 0)))
+    assert poly.terms == {(0, 1, 2): complex(1.0 / math.sqrt(2.0))}
+    basis = basis_enumerate(3, 3)
+    col = lift_unitary(swap, 3).matrix[:, basis.index((2, 1, 0))]
+    assert np.array_equal(poly_to_vector(poly, basis), col)
+
+
+def exact_sectors(mpmath, v, photons):
+    """Sectors 0..N of v as nested lists, by the creation recursion in the
+    current mpmath precision: column |n> is n_j^(-1/2) (sum_i v[i, j] a_i+)
+    applied to column |n - e_j>, with a_i+ |r> = sqrt(r_i + 1) |r + e_i>."""
+    modes = len(v)
+    w = [[mpmath.mpc(z.real, z.imag) for z in row] for row in v]
+    cols = {(0,) * modes: {(0,) * modes: mpmath.mpc(1)}}
+    sectors = [[[mpmath.mpc(1)]]]
+    for n in range(1, photons + 1):
+        states = basis_enumerate(modes, n).states
+        for s in states:
+            j = next(i for i, k in enumerate(s) if k)
+            col = {}
+            for r, amp in cols[s[:j] + (s[j] - 1,) + s[j + 1:]].items():
+                for i in range(modes):
+                    up = r[:i] + (r[i] + 1,) + r[i + 1:]
+                    col[up] = col.get(up, 0) + w[i][j] * amp * mpmath.sqrt(up[i])
+            cols[s] = {r: amp / mpmath.sqrt(s[j]) for r, amp in col.items()}
+        sectors.append([[cols[c].get(r, 0) for c in states] for r in states])
+    return sectors
+
+
+def test_lift_matches_a_40_digit_creation_recursion():
+    # an exact reference that does not depend on a past float run
+    import mpmath
+
+    from focklift.linalg import exp_i_hermitian
+    from focklift.nogo import _project_feasible
+    rng = np.random.default_rng(2613)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for modes in (3, 4):
+            z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+            near = exp_i_hermitian(1e-3 * (z + z.conj().T)) @ _project_feasible(
+                haar_random_unitary(modes, rng))
+            for v in (haar_random_unitary(modes, rng), near):
+                for got, ref in zip(lift_unitary(v, 4).sectors, exact_sectors(mpmath, v, 4)):
+                    for a, b in np.ndindex(got.shape):
+                        worst = max(worst, abs(mpmath.mpc(got[a, b].real, got[a, b].imag)
+                                               - ref[a][b]))
+    assert worst < 1e-15, float(worst)
+
+
 def test_lift_matches_naive_permanent_entrywise():
     # <m|phi(v)|n> = Per(v[m|n]) / sqrt(prod m_i! prod n_j!), one entry at a
     # time with the definitional permanent, against every sector 0..N that

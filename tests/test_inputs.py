@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from focklift.errors import InvalidInputError, LeakyGateError, ResourceLimitError
-from focklift.fock import basis_monomial, lift_unitary, lift_via_substitution, LiftedUnitary
+from focklift.fock import (basis_monomial, lift_unitary, lift_via_substitution, LiftedUnitary,
+                           OccupationPolynomial)
 from focklift.linalg import exp_i_hermitian
 from focklift.modes import reck_decompose
 from focklift.nogo import block_diagonality_defect, block_lemma_check, dont_cause_errors_residuals
@@ -53,6 +54,22 @@ def test_unreadable_matrices_are_invalid_input(name, bad):
     # each once let numpy's ValueError or OverflowError out
     with pytest.raises(InvalidInputError):
         ENTRY_POINTS[name](bad)
+
+
+# the substitution oracle's readers: a term key or a state that is not a
+# sequence of integers once raised Python's TypeError, and a bool mode count
+# was read as one mode
+ORACLE_INPUTS = {
+    "term-key-int": lambda: OccupationPolynomial(2, {3: 1.0}),
+    "state-int": lambda: basis_monomial(5),
+    "modes-bool": lambda: OccupationPolynomial(True, {(1,): 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_oracle_readers_fail_closed(name):
+    with pytest.raises(InvalidInputError):
+        ORACLE_INPUTS[name]()
 
 
 # entries of every kind a JSON file or a caller can hand over, sized so that

@@ -155,6 +155,12 @@ def test_recompose_empty_is_identity():
     assert np.array_equal(recompose([], 4), np.eye(4))
 
 
+def test_recompose_rejects_an_element_beyond_its_dimension():
+    bs = OpticalElement("beam-splitter", (1, 3), (0.4, -1.1))
+    with pytest.raises(InvalidInputError, match="element touches mode 3, dim is 3"):
+        recompose([bs], 3)
+
+
 def test_elements_json_round_trip():
     v = haar_random_unitary(4, 22)
     elements = reck_decompose(v)

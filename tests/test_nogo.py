@@ -80,6 +80,19 @@ def test_partition_needs_two_rails():
         bunched_partition(1, 2)
 
 
+def test_partition_and_mask_follow_the_per_state_rule():
+    # each state on its own: bunched when a rail holds two or more photons
+    for modes in range(2, 7):
+        for photons in range(7):
+            states = lift_unitary(np.eye(modes), photons).basis.states
+            bunched = [max(s[0], s[1]) >= 2 for s in states]
+            comp, bunch = bunched_partition(modes, photons)
+            assert comp == tuple(i for i, b in enumerate(bunched) if not b)
+            assert bunch == tuple(i for i, b in enumerate(bunched) if b)
+            mask = _coupling_mask(modes, photons)
+            assert mask.tolist() == [[a != b for b in bunched] for a in bunched]
+
+
 def subspace_leakage(lifted: LiftedUnitary) -> float:
     """Frobenius weight of the computational <-> bunched couplings of a
     lifted matrix (both directions)."""
@@ -192,6 +205,100 @@ def test_residual_report_is_frozen():
     assert isinstance(report, AncillaCheckReport)
     with pytest.raises(AttributeError):
         report.block_defect = 0.0
+
+
+def test_residual_report_equals_the_per_entry_loop():
+    # the loop reads each |2_r> <- |2_i> entry and squares each v[r, i] alone
+    rng = np.random.default_rng(45)
+    for m in (3, 4, 5, 6) * 10:
+        v = haar_random_unitary(m, rng)
+        lifted = lift_unitary(v, 2)
+        two = [lifted.basis.index(tuple(2 * (j == mode) for j in range(m))) for mode in range(m)]
+        routes = [[complex(2.0 * lifted.matrix[two[r], two[i]]) for i in range(2, m)]
+                  for r in (0, 1)]
+        closed = [[complex(2.0 * v[r, i] ** 2) for i in range(2, m)] for r in (0, 1)]
+        worst = max(abs(a - b) for ra, rb in zip(routes, closed) for a, b in zip(ra, rb))
+        report = dont_cause_errors_residuals(v)
+        assert [list(report.residuals_first), list(report.residuals_second)] == routes
+        assert [list(report.closed_first), list(report.closed_second)] == closed
+        assert report.max_route_deviation == worst
+
+
+def test_residual_route_disagreement_is_a_runtime_error(monkeypatch):
+    # a lift that is wrong in one |2_0> <- |2_3> entry can only be a kernel defect
+    def broken(v, photons, check=True):
+        lifted = lift_unitary(v, photons, check)
+        lifted.matrix[0, -1] += 1e-6
+        return lifted
+
+    monkeypatch.setattr(focklift.nogo, "lift_unitary", broken)
+    with pytest.raises(RuntimeError, match="residual routes disagree by 2.000e-06"):
+        dont_cause_errors_residuals(haar_random_unitary(4, 6))
+
+
+# ---------------------------------------------------------------------------
+# the reduction of every photon number to the two-photon coupling
+# ---------------------------------------------------------------------------
+
+def coupling_weights(v, photons):
+    """Squared computational <-> bunched weight of each sector 2..N of v."""
+    lifted = lift_unitary(v, photons)
+    return {n: float(np.sum(np.abs(lifted.sectors[n][_coupling_mask(len(v), n)]) ** 2))
+            for n in range(2, photons + 1)}
+
+
+def near_feasible(rng, modes, t, rail_ancilla):
+    """exp(i t H) times a projected Haar point, with H's rail-ancilla entries
+    scaled by rail_ancilla (small: a near-rail-only point)."""
+    z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    h = z + z.conj().T
+    h[:2, 2:] *= rail_ancilla
+    h[2:, :2] *= rail_ancilla
+    return exp_i_hermitian(t * h) @ _project_feasible(haar_random_unitary(modes, rng))
+
+
+def rail_weights(x):
+    """sum_r 2 a b + s^2 + 2 s (a + b) over the rows of x, with a = |x_r0|^2,
+    b = |x_r1|^2 and s the weight of the rest of the row: no term cancels."""
+    a, b = np.abs(x[:, 0]) ** 2, np.abs(x[:, 1]) ** 2
+    s = np.sum(np.abs(x[:, 2:]) ** 2, axis=1)
+    return float(np.sum(2 * a * b + s * s + 2 * s * (a + b)))
+
+
+def reduction_points(modes, rng):
+    return ([haar_random_unitary(modes, rng) for _ in range(4)]
+            + [near_feasible(rng, modes, t, 1.0) for t in (1e-1, 1e-2, 1e-3, 1e-4)]
+            + [near_feasible(rng, modes, t, 1e-6) for t in (1e-1, 1e-2, 1e-3, 1e-4)])
+
+
+@pytest.mark.parametrize("modes", [3, 4, 5, 6])
+def test_more_photons_never_lower_the_coupling_below_two_photons(modes):
+    # coupling^2(M, N) >= C(N + M - 5, M - 3) coupling^2(M, 2): the N - 2 extra
+    # photons can sit in C(N + M - 5, M - 3) ancilla patterns, each a copy
+    rng = np.random.default_rng(2600 + modes)
+    for v in reduction_points(modes, rng):
+        weights = coupling_weights(v, 6)
+        for n in range(3, 7):
+            assert weights[n] >= math.comb(n + modes - 5, modes - 3) * weights[2] * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("modes", [3, 4, 5, 6])
+def test_the_coupling_bound_is_an_equality_on_block_diagonal_unitaries(modes):
+    # with V = A (+) B the ancilla photons stay put
+    weights = coupling_weights(block_diag_unitary(np.random.default_rng(2610 + modes), 2,
+                                                  modes - 2), 6)
+    for n in range(3, 7):
+        bound = math.comb(n + modes - 5, modes - 3) * weights[2]
+        assert weights[n] == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("modes", [3, 4, 6, 8])
+def test_two_photon_coupling_has_a_closed_form_in_the_rail_rows_and_columns(modes):
+    # rows: computational -> bunched; columns: bunched -> computational
+    rng = np.random.default_rng(2620 + modes)
+    for v in reduction_points(modes, rng):
+        closed = rail_weights(v[:2, :]) + rail_weights(v[:, :2].T)
+        assert closed == pytest.approx(coupling_weights(v, 2)[2], rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
